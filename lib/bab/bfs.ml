@@ -78,9 +78,12 @@ let run_bfs ~appver ~heuristic ~budget ~record problem =
             max_depth := Stdlib.max !max_depth (depth + 1);
             loop ()
           | None ->
-            (* Fully stabilised leaf: decide exactly with one LP call. *)
+            (* Fully stabilised leaf: decide it exactly under the
+               bounds the chooser just found stable. *)
             Budget.record_call budget;
-            let resolution = Exact.resolve problem gamma in
+            let resolution =
+              Exact.resolve ~pre_bounds:outcome.Outcome.pre_bounds problem gamma
+            in
             if Obs.active () then begin
               Obs.incr "bfs.exact";
               if Obs.tracing () then

@@ -63,25 +63,55 @@ let rec check_cover ~prefix suffixes =
         check_cover ~prefix:(prefix @ [ { Split.relu; phase = Split.Inactive } ]) minus
     end
 
+(* Bound every leaf along the search's own chain: walk its split prefix
+   from the root with warm starts, each node's state feeding its
+   children, so a leaf replays under the parent-tightened bounds it was
+   discharged with (DESIGN.md §9).  Prefixes are memoised, so every
+   tree node costs one AppVer call. *)
+let replayer appver problem =
+  let memo = Hashtbl.create 64 in
+  let rec walk prefix state rest =
+    let key = Split.to_string prefix in
+    let outcome, state =
+      match Hashtbl.find_opt memo key with
+      | Some r -> r
+      | None ->
+        let r = Appver.run_warm appver ?state problem prefix in
+        Hashtbl.add memo key r;
+        r
+    in
+    match rest with
+    | [] -> outcome
+    | c :: rest -> walk (prefix @ [ c ]) state rest
+  in
+  fun gamma -> walk [] None gamma
+
 let check ?appver problem t =
   let appver =
     match appver with
     | Some v -> v
     | None -> Option.value ~default:Appver.deeppoly (Appver.find t.appver_name)
   in
-  (* 1. replay every leaf *)
-  let rec replay = function
+  let replay = replayer appver problem in
+  (* 1. replay every leaf; exact leaves are decided under the replayed
+     bounds, as the engine decided them *)
+  let rec replay_leaves = function
     | [] -> Ok ()
     | leaf :: rest ->
+      let outcome = replay leaf.gamma in
       let ok =
-        if leaf.by_exact then
-          match Exact.resolve problem leaf.gamma with
-          | `Verified -> true
-          | `Falsified _ -> false
-        else Outcome.proved (appver.Appver.run problem leaf.gamma)
+        Outcome.proved outcome
+        || leaf.by_exact
+           && (match
+                 Exact.resolve ~pre_bounds:outcome.Outcome.pre_bounds problem leaf.gamma
+               with
+               | `Verified -> true
+               | `Falsified _ -> false
+               | exception Exact.Unresolvable _ -> false)
       in
-      if ok then replay rest else Error (Leaf_not_proved (leaf.gamma, leaf.phat))
+      if ok then replay_leaves rest
+      else Error (Leaf_not_proved (leaf.gamma, outcome.Outcome.phat))
   in
-  match replay t.leaves with
+  match replay_leaves t.leaves with
   | Error _ as e -> e
   | Ok () -> check_cover ~prefix:[] (List.map (fun l -> l.gamma) t.leaves)

@@ -4,13 +4,20 @@
     with a finite set of leaves, each discharged by one AppVer call (or
     an exact LP).  This module makes that object explicit — the list of
     discharged leaves with the split sequence Γ that identifies each —
-    and provides an {e independent checker} that replays every leaf with
-    a fresh AppVer call and verifies the leaves cover the split space.
+    and provides an {e independent checker} that re-bounds every leaf
+    and verifies the leaves cover the split space.
 
+    The checker replays a leaf the way the engines bound it: walking
+    its split prefix from the root with warm-started AppVer calls
+    ([Appver.run_warm]), so each node's bounds are tightened by its
+    ancestors' (DESIGN.md §9).  A leaf proved only under those
+    parent-tightened bounds — e.g. one that is vacuous once its
+    ancestors' bounds are intersected in — therefore replays as proved.
     The checker trusts only the bound propagation (which the test suite
-    validates against sampling separately); it does not trust the search
-    that produced the certificate.  This mirrors the proof-production
-    facilities of modern verifiers and makes "Verified" auditable.
+    validates against sampling separately) and the exact leaf LP; it
+    does not trust the search that produced the certificate.  This
+    mirrors the proof-production facilities of modern verifiers and
+    makes "Verified" auditable.
 
     Certificates are produced by [Bfs.verify_with_certificate]; any
     engine could emit one, the BFS engine is the natural reference. *)
@@ -40,7 +47,12 @@ val check :
   (unit, check_error) result
 (** Replay every leaf and verify the leaves form a partition of the
     split space (an exact binary-tree cover: for every internal node,
-    both phases of the split ReLU are covered). *)
+    both phases of the split ReLU are covered).  Prefixes shared by
+    several leaves are bounded once.  A [by_exact] leaf the replayed
+    bound does not prove is decided by [Exact.resolve] under the
+    replayed bounds; a leaf that cannot be resolved there (bounds not
+    fully stable) is reported as [Leaf_not_proved], so [check] never
+    raises. *)
 
 val num_leaves : t -> int
 

@@ -3,8 +3,8 @@ module Affine = Abonn_nn.Affine
 module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
+module Split = Abonn_spec.Split
 module Bounds = Abonn_prop.Bounds
-module Outcome = Abonn_prop.Outcome
 
 exception Unresolvable of string
 
@@ -55,6 +55,19 @@ let compose_through affine (pre_bounds : Bounds.t array) =
 let any_unstable pre_bounds =
   Array.exists (fun b -> Bounds.num_unstable b > 0) pre_bounds
 
+(* Fold Γ's phases into the leaf's bounds ([None]: a clamp emptied a
+   layer, so the leaf is vacuous).  Bounds from the DeepPoly family
+   already carry every split; the clamp makes the leaf's phase pattern
+   agree with Γ whichever AppVer produced them. *)
+let clamp_gamma affine (pre_bounds : Bounds.t array) gamma =
+  let clamped = Array.copy pre_bounds in
+  List.iter
+    (fun (c : Split.constr) ->
+      let layer, idx = Affine.relu_position affine c.Split.relu in
+      clamped.(layer) <- Bounds.apply_split clamped.(layer) ~idx ~phase:c.Split.phase)
+    gamma;
+  if Array.exists Bounds.is_infeasible clamped then None else Some clamped
+
 (* Exact minimum of one affine objective over the leaf polytope. *)
 let minimise_row ~region ~maps ~coefs ~constant =
   let lp = Abonn_lp.Lp_problem.create () in
@@ -81,7 +94,7 @@ let minimise_row ~region ~maps ~coefs ~constant =
   let obj = ref [] in
   Array.iteri (fun j v -> if v <> 0.0 then obj := (v, inputs.(j)) :: !obj) coefs;
   Abonn_lp.Lp_problem.set_objective ~constant lp !obj;
-  match Abonn_lp.Lp_problem.solve lp with
+  match Abonn_lp.Lp_verifier.observed_solve lp with
   | Abonn_lp.Lp_problem.Optimal { objective; values } ->
     `Optimal (objective, Array.map values inputs)
   | Abonn_lp.Lp_problem.Infeasible -> `Infeasible
@@ -90,21 +103,19 @@ let minimise_row ~region ~maps ~coefs ~constant =
   | Abonn_lp.Lp_problem.Pivot_limit ->
     raise (Unresolvable "leaf LP hit its pivot limit")
 
-let resolve problem gamma =
-  match Abonn_prop.Deeppoly.hidden_bounds problem gamma with
+let resolve ?pre_bounds problem gamma =
+  let affine = problem.Problem.affine in
+  let leaf_bounds =
+    match pre_bounds with
+    | Some b when Array.length b = Affine.num_layers affine - 1 ->
+      clamp_gamma affine b gamma
+    | Some _ | None -> Abonn_prop.Deeppoly.hidden_bounds problem gamma
+  in
+  match leaf_bounds with
   | None -> `Verified (* infeasible splits: vacuous *)
   | Some pre_bounds when any_unstable pre_bounds ->
-    (* Not actually fully stabilised (defensive path): fall back to the
-       triangle-relaxation LP and concrete validation. *)
-    let outcome = Abonn_lp.Lp_verifier.run problem gamma in
-    begin match outcome.Outcome.candidate with
-    | Some x when Problem.is_counterexample problem x -> `Falsified x
-    | Some _ | None ->
-      if outcome.Outcome.phat > -1e-7 then `Verified
-      else raise (Unresolvable "relaxation negative but minimiser does not violate")
-    end
+    raise (Unresolvable "leaf bounds leave a ReLU unstable: not a fully-stabilised leaf")
   | Some pre_bounds ->
-    let affine = problem.Problem.affine in
     let region = problem.Problem.region in
     let prop = problem.Problem.property in
     let maps, (out_m, out_c) = compose_through affine pre_bounds in

@@ -126,9 +126,12 @@ let run_relu_split ~engine ~domains ~appver ~heuristic ~budget ~record problem =
            add_nodes st 2;
            note_depth st (depth + 1)
          | None ->
-           (* fully stabilised leaf: decide exactly with one LP call *)
+           (* fully stabilised leaf: decide it exactly under the bounds
+              the chooser just found stable *)
            Budget.record_call budget;
-           let resolution = Exact.resolve problem gamma in
+           let resolution =
+             Exact.resolve ~pre_bounds:outcome.Outcome.pre_bounds problem gamma
+           in
            if Obs.active () then begin
              Obs.incr (String.concat "" [ engine; ".exact" ]);
              if Obs.tracing () then

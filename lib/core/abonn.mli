@@ -20,7 +20,7 @@
       exhausted budget ⇒ [Timeout].
 
     Fully-stabilised leaves (no splittable ReLU, yet an invalidated
-    negative bound) are decided exactly with one LP call
+    negative bound) are decided exactly under the node's own bounds
     ([Abonn_bab.Exact]), preserving completeness. *)
 
 val verify :

@@ -14,6 +14,12 @@
     a vertex of the relaxation, mirroring what a Gurobi-backed BaB
     implementation validates. *)
 
+val observed_solve : Lp_problem.t -> Lp_problem.outcome
+(** [Lp_problem.solve] with the LP telemetry every solve in the
+    repository reports: the [lp.solves] and [lp.solve.<status>]
+    counters, the [lp.solve] span and one [lp_solved] trace event.
+    Costs one branch while observability is off. *)
+
 val run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Abonn_prop.Outcome.t
 (** Pre-activation bounds are taken from [Abonn_prop.Deeppoly] (and are
     part of the returned outcome, as for every AppVer). *)

@@ -45,7 +45,8 @@ type t =
     }  (** A baseline engine popped a node; [frontier] is the queue/heap
           size after the pop, [priority] the heap key ([nan] for FIFO). *)
   | Exact_leaf of { engine : string; depth : int; verified : bool }
-      (** A fully-stabilised leaf was decided exactly by one LP call. *)
+      (** A fully-stabilised leaf was decided exactly under the node's
+          own bounds (one small LP per property row). *)
   | Bound_computed of {
       appver : string;
       depth : int;

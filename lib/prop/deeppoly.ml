@@ -76,17 +76,33 @@ let through_affine (w : Matrix.t) (b : float array) sym =
   sym.lo_coef <- Matrix.tmv w sym.lo_coef;
   sym.hi_coef <- Matrix.tmv w sym.hi_coef
 
-(* Concretise a symbolic bound over the input box. *)
-let concretize (region : Region.t) sym =
-  let lo = ref sym.lo_const and hi = ref sym.hi_const in
+(* Lower-bound [lo_const + lo_coef·x] and upper-bound
+   [hi_const + hi_coef·x] over the input box. *)
+let concretize_coefs (region : Region.t) lo_coef lo_const hi_coef hi_const =
+  let lo = ref lo_const and hi = ref hi_const in
   let rl = region.Region.lower and ru = region.Region.upper in
-  for j = 0 to Array.length sym.lo_coef - 1 do
-    let a = sym.lo_coef.(j) in
+  for j = 0 to Array.length lo_coef - 1 do
+    let a = lo_coef.(j) in
     lo := !lo +. (if a > 0.0 then a *. rl.(j) else a *. ru.(j));
-    let a = sym.hi_coef.(j) in
+    let a = hi_coef.(j) in
     hi := !hi +. (if a > 0.0 then a *. ru.(j) else a *. rl.(j))
   done;
   (!lo, !hi)
+
+(* Concretise a symbolic bound over the input box. *)
+let concretize region sym =
+  concretize_coefs region sym.lo_coef sym.lo_const sym.hi_coef sym.hi_const
+
+(* [through_affine w b] then [concretize], without materialising the
+   input-space coefficients: both sides go through [w] into the reused
+   input-width buffers [lo_buf]/[hi_buf] (in [Matrix.tmv]'s order) and
+   are concretised from there, so the floats are bit-identical to the
+   allocating pair. *)
+let concretize_through (w : Matrix.t) b region ~lo_buf ~hi_buf sym =
+  Matrix.tmv_into w sym.lo_coef lo_buf;
+  Matrix.tmv_into w sym.hi_coef hi_buf;
+  concretize_coefs region lo_buf (sym.lo_const +. Abonn_tensor.Vector.dot sym.lo_coef b)
+    hi_buf (sym.hi_const +. Abonn_tensor.Vector.dot sym.hi_coef b)
 
 (* The input-box corner minimising the symbolic lower bound. *)
 let minimizer_corner (region : Region.t) lo_coef =
@@ -95,25 +111,57 @@ let minimizer_corner (region : Region.t) lo_coef =
     lo_coef
 
 (* Back-substitute a batch of targets whose coefficients currently range
-   over post-activations x_[start_layer] (x_0 = input).  [pre_bounds]
-   must contain clamped bounds for all hidden layers < start_layer. *)
+   over post-activations x_[start_layer] (x_0 = input) and concretise
+   them over the input box.  [pre_bounds] must contain clamped bounds for
+   all hidden layers < start_layer.  The last step, through W_0, runs
+   through one pair of input-width buffers shared by the batch, so the
+   targets are left ranging over ẑ_0 (see [input_lo_coef]). *)
 let backsub slope affine region ~pre_bounds ~start_layer syms =
-  for k = start_layer - 1 downto 0 do
-    Array.iter (relax_relu slope pre_bounds.(k)) syms;
-    Array.iter (through_affine Affine.(affine.weights.(k)) Affine.(affine.biases.(k))) syms
-  done;
-  Array.map (concretize region) syms
+  if start_layer = 0 then Array.map (concretize region) syms
+  else begin
+    for k = start_layer - 1 downto 1 do
+      Array.iter (relax_relu slope pre_bounds.(k)) syms;
+      Array.iter (through_affine Affine.(affine.weights.(k)) Affine.(affine.biases.(k))) syms
+    done;
+    Array.iter (relax_relu slope pre_bounds.(0)) syms;
+    let lo_buf = Array.make Affine.(affine.input_dim) 0.0 in
+    let hi_buf = Array.make Affine.(affine.input_dim) 0.0 in
+    Array.map
+      (concretize_through Affine.(affine.weights.(0)) Affine.(affine.biases.(0)) region
+         ~lo_buf ~hi_buf)
+      syms
+  end
+
+(* Input-space lower coefficients of a target [backsub] started at
+   [start_layer]. *)
+let input_lo_coef affine ~start_layer sym =
+  if start_layer = 0 then sym.lo_coef else Matrix.tmv Affine.(affine.weights.(0)) sym.lo_coef
 
 let sym_of_row coef const =
   { lo_coef = Array.copy coef; lo_const = const; hi_coef = Array.copy coef; hi_const = const }
 
 (* Bounds of pre-activation layer l given bounds of previous layers;
-   clamps in the split constraints for layer l afterwards. *)
+   clamps in the split constraints for layer l afterwards.  Rows of W_0
+   already range over the input: they are concretised straight from the
+   matrix, through one buffer. *)
 let layer_bounds slope affine region ~pre_bounds l =
   let w = Affine.(affine.weights.(l)) and b = Affine.(affine.biases.(l)) in
-  let syms = Array.init w.Matrix.rows (fun i -> sym_of_row (Matrix.row w i) b.(i)) in
-  let pairs = backsub slope affine region ~pre_bounds ~start_layer:l syms in
-  Bounds.create ~lower:(Array.map fst pairs) ~upper:(Array.map snd pairs)
+  if l = 0 then begin
+    let buf = Array.make w.Matrix.cols 0.0 in
+    let lower = Array.make w.Matrix.rows 0.0 and upper = Array.make w.Matrix.rows 0.0 in
+    for i = 0 to w.Matrix.rows - 1 do
+      Array.blit w.Matrix.data (i * w.Matrix.cols) buf 0 w.Matrix.cols;
+      let lo, hi = concretize_coefs region buf b.(i) buf b.(i) in
+      lower.(i) <- lo;
+      upper.(i) <- hi
+    done;
+    Bounds.create ~lower ~upper
+  end
+  else begin
+    let syms = Array.init w.Matrix.rows (fun i -> sym_of_row (Matrix.row w i) b.(i)) in
+    let pairs = backsub slope affine region ~pre_bounds ~start_layer:l syms in
+    Bounds.create ~lower:(Array.map fst pairs) ~upper:(Array.map snd pairs)
+  end
 
 (* Splits touching hidden layer [l], applied as soon as that layer's
    bounds exist so deeper layers see the clamped intervals. *)
@@ -257,7 +305,7 @@ let analyse_core ?parent ?(from_layer = 0) ~clamps slope (problem : Problem.t) g
         (* Corner minimising the worst row's symbolic lower bound. *)
         let worst = ref 0 in
         Array.iteri (fun i v -> if v < row_lower.(!worst) then worst := i) row_lower;
-        Some (minimizer_corner region syms.(!worst).lo_coef)
+        Some (minimizer_corner region (input_lo_coef affine ~start_layer:last syms.(!worst)))
       end
     in
     Outcome.make ~phat ?candidate ~pre_bounds ~row_lower ()

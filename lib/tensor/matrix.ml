@@ -97,9 +97,9 @@ let mv m x =
   done;
   y
 
-let tmv m x =
-  if m.rows <> Array.length x then invalid_arg "Matrix.tmv: dimension mismatch";
-  let y = Array.make m.cols 0.0 in
+(* y += mᵀx, row by row: the one summation order [tmv] and [tmv_into]
+   share, so both give bit-identical results. *)
+let tmv_acc m x y =
   for i = 0 to m.rows - 1 do
     let xi = x.(i) in
     if xi <> 0.0 then begin
@@ -108,8 +108,19 @@ let tmv m x =
         y.(j) <- y.(j) +. (m.data.(off + j) *. xi)
       done
     end
-  done;
+  done
+
+let tmv m x =
+  if m.rows <> Array.length x then invalid_arg "Matrix.tmv: dimension mismatch";
+  let y = Array.make m.cols 0.0 in
+  tmv_acc m x y;
   y
+
+let tmv_into m x y =
+  if m.rows <> Array.length x || m.cols <> Array.length y then
+    invalid_arg "Matrix.tmv_into: dimension mismatch";
+  Array.fill y 0 m.cols 0.0;
+  tmv_acc m x y
 
 let outer x y =
   init (Array.length x) (Array.length y) (fun i j -> x.(i) *. y.(j))

@@ -42,6 +42,11 @@ val mv : t -> float array -> float array
 val tmv : t -> float array -> float array
 (** Transposed matrix–vector product: [tmv a x = aᵀ x]. *)
 
+val tmv_into : t -> float array -> float array -> unit
+(** [tmv_into a x y] overwrites [y] with [aᵀ x], summing in the same
+    order as {!tmv} (the results are bit-identical), without
+    allocating. *)
+
 val outer : float array -> float array -> t
 (** Rank-one outer product. *)
 

@@ -708,3 +708,123 @@ let triage_suite =
     ] )
 
 let suite = suite @ [ triage_suite ]
+
+(* --- exact leaves under the engine's own bounds --- *)
+
+let any_unstable bounds = Array.exists (fun b -> Bounds.num_unstable b > 0) bounds
+
+(* Fully-stabilised leaves as BFS meets them: nodes in FIFO order, warm
+   states flowing parent → child, branching on each node's own bounds,
+   stopping at a validated candidate or after [cap] nodes.  A leaf is an
+   unproved node the heuristic cannot split; returns (Γ, its bounds). *)
+let stabilised_leaves ~cap problem =
+  let choose = Branching.default.Branching.prepare problem in
+  let queue = Queue.create () and leaves = ref [] in
+  Queue.add ([], None) queue;
+  let rec loop visited =
+    if visited < cap && not (Queue.is_empty queue) then begin
+      let gamma, state = Queue.pop queue in
+      let o, st = Appver.run_warm Appver.deeppoly ?state problem gamma in
+      if Outcome.proved o then loop (visited + 1)
+      else
+        match o.Outcome.candidate with
+        | Some x when Problem.is_counterexample problem x -> ()
+        | Some _ | None ->
+          (match choose ~gamma ~pre_bounds:o.Outcome.pre_bounds with
+           | Some { Branching.relu; _ } ->
+             Queue.add (Split.extend gamma ~relu ~phase:Split.Active, st) queue;
+             Queue.add (Split.extend gamma ~relu ~phase:Split.Inactive, st) queue
+           | None -> leaves := (gamma, o.Outcome.pre_bounds) :: !leaves);
+          loop (visited + 1)
+    end
+  in
+  loop 0;
+  List.rev !leaves
+
+(* Ground truth below Γ from cold bounds alone: split on the first
+   unstable ReLU until every cell is empty or fully stable, and decide
+   stable cells exactly.  Returns the most violating witness found. *)
+let enumerate_below problem gamma =
+  let k = Problem.num_relus problem in
+  let worst = ref None in
+  let note x =
+    match !worst with
+    | Some y when Problem.concrete_margin problem y <= Problem.concrete_margin problem x -> ()
+    | Some _ | None -> worst := Some x
+  in
+  let rec cells gamma =
+    match Deeppoly.hidden_bounds problem gamma with
+    | None -> ()
+    | Some bounds ->
+      let affine = problem.Problem.affine in
+      let free =
+        List.filter
+          (fun relu ->
+            let layer, idx = Affine.relu_position affine relu in
+            Split.constrained gamma ~relu = None
+            && Bounds.relu_state_of bounds.(layer) idx = Bounds.Unstable)
+          (List.init k Fun.id)
+      in
+      (match free with
+       | [] -> (match Exact.resolve problem gamma with `Verified -> () | `Falsified x -> note x)
+       | relu :: _ ->
+         cells (Split.extend gamma ~relu ~phase:Split.Active);
+         cells (Split.extend gamma ~relu ~phase:Split.Inactive))
+  in
+  cells gamma;
+  !worst
+
+(* Leaves whose engine bounds are fully stable while their cold
+   [hidden_bounds] are not: the chooser's bounds decide them, and the
+   verdict must match exhaustive enumeration of the cells below Γ.
+   Without bounds, [Exact.resolve] sees unstable ReLUs and must refuse. *)
+let test_exact_warm_stable_leaves () =
+  let checked = ref 0 in
+  let check_leaf seed problem (gamma, pre_bounds) =
+    match Deeppoly.hidden_bounds problem gamma with
+    | Some cold when any_unstable cold ->
+      incr checked;
+      let name = Printf.sprintf "seed %d leaf %s" seed (Split.to_string gamma) in
+      (match Exact.resolve problem gamma with
+       | exception Exact.Unresolvable _ -> ()
+       | `Verified | `Falsified _ -> Alcotest.failf "%s: cold bounds resolved" name);
+      let margin = Problem.concrete_margin problem in
+      (match Exact.resolve ~pre_bounds problem gamma, enumerate_below problem gamma with
+       | `Verified, Some x when margin x < -1e-6 ->
+         Alcotest.failf "%s: verified, enumeration margin %.9g" name (margin x)
+       | `Falsified x, _ when not (Problem.is_counterexample problem x) ->
+         Alcotest.failf "%s: witness does not validate" name
+       | `Falsified x, None when margin x < -1e-6 ->
+         Alcotest.failf "%s: falsified (margin %.9g), enumeration verified" name (margin x)
+       | (`Verified | `Falsified _), _ -> ())
+    | Some _ | None -> ()
+  in
+  List.iter
+    (fun seed ->
+      let problem = random_problem ~seed ~dims:[ 3; 6; 6; 6; 2 ] ~eps:0.5 () in
+      List.iter (check_leaf seed problem) (stabilised_leaves ~cap:300 problem))
+    [ 3; 16; 18; 49 ];
+  Alcotest.(check bool) "met warm-stable leaves" true (!checked >= 4)
+
+(* An AppVer that reports no per-layer bounds (empty [pre_bounds], as a
+   custom one may) still gets its leaves decided: they are bounded from
+   scratch, exactly as without [~pre_bounds]. *)
+let test_exact_without_engine_bounds () =
+  let problem = random_problem ~seed:5 ~dims:[ 2; 4; 2 ] ~eps:0.3 () in
+  let k = Problem.num_relus problem in
+  for mask = 0 to (1 lsl k) - 1 do
+    let gamma = leaf_gamma k mask in
+    Alcotest.(check bool)
+      (Printf.sprintf "cell %d decided as from scratch" mask)
+      true
+      (Exact.resolve ~pre_bounds:[||] problem gamma = Exact.resolve problem gamma)
+  done
+
+let exact_warm_suite =
+  ( "bab.exact_warm",
+    [ Alcotest.test_case "warm-stable leaves match enumeration" `Quick
+        test_exact_warm_stable_leaves;
+      Alcotest.test_case "no engine bounds: decided from scratch" `Quick
+        test_exact_without_engine_bounds ] )
+
+let suite = suite @ [ exact_warm_suite ]

@@ -320,7 +320,11 @@ let test_counters_and_bound_reuse_events () =
         | _ :: rest -> pairs rest
         | [] -> ()
       in
-      pairs evs)
+      (* On a domain pool another worker's event may land between a
+         bound_computed and its bound_reuse: the pairing holds within
+         each domain's own sub-stream (the envelope's [domain] tag). *)
+      let domains = List.sort_uniq compare (List.map (fun e -> e.Event.domain) evs) in
+      List.iter (fun d -> pairs (List.filter (fun e -> e.Event.domain = d) evs)) domains)
 
 let test_bound_reuse_json_roundtrip () =
   let ev =

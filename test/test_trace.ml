@@ -383,12 +383,15 @@ let test_summary_reproduces_abonn_run () =
       check_summary_matches (Printf.sprintf "abonn seed %d" seed) result events)
     [ 0; 1; 2; 3 ]
 
+(* Pinned sequential: summary rebuilds bab-baseline node counts from a
+   sequential event stream only (docs/PARALLELISM.md §3). *)
 let test_summary_reproduces_bfs_run () =
   List.iter
     (fun seed ->
       let problem = random_problem ~seed () in
       let result, events =
-        traced_run (fun () -> Abonn_bab.Bfs.verify ~budget:(Budget.of_calls 200) problem)
+        traced_run (fun () ->
+            Abonn_bab.Bfs.verify ~budget:(Budget.of_calls 200) ~domains:1 problem)
       in
       let exact_shape = Verdict.is_solved result.Result.verdict in
       check_summary_matches ~exact_shape
