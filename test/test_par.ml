@@ -1,10 +1,10 @@
 (* Tests for the multicore BaB layer (lib/par + the engines' --domains
    paths): Chase–Lev deque semantics under concurrent stealing, pool
    exactly-once processing and termination, deterministic per-domain RNG
-   splitting, the domains:1 ≡ sequential guarantee (including encoder
-   byte-stability for untagged envelopes), and multi-domain verdict
-   agreement with the sequential engines — the executable form of the
-   docs/PARALLELISM.md determinism contract. *)
+   splitting, encoder byte-stability for untagged envelopes, and
+   multi-domain verdict agreement with the sequential engines — the
+   executable form of the docs/PARALLELISM.md determinism contract.
+   Step-for-step sequential behaviour is pinned in test_engines.ml. *)
 
 module Rng = Abonn_util.Rng
 module Budget = Abonn_util.Budget
@@ -239,42 +239,6 @@ let test_golden_encoding_unchanged () =
   in
   go 1
 
-let strip_timing events =
-  (* event-name sequence with the time-gated sampler events removed:
-     everything here is deterministic for a fixed problem *)
-  List.filter_map
-    (fun e ->
-      match e.Event.event with
-      | Event.Resource_sample _ -> None
-      | ev -> Some (Event.name ev))
-    events
-
-let test_domains1_matches_sequential () =
-  let problem = random_problem ~seed:5 ~dims:[ 2; 8; 2 ] ~eps:0.25 () in
-  let run domains =
-    let sink, events = Sink.memory () in
-    let r =
-      Obs.with_sink sink (fun () ->
-          Bestfirst.verify ~budget:(Budget.of_calls 400) ~domains problem)
-    in
-    (r, events ())
-  in
-  let r1, ev1 = run 1 in
-  let r2, ev2 = run 1 in
-  Alcotest.(check string) "verdict" (Verdict.to_string r1.Result.verdict)
-    (Verdict.to_string r2.Result.verdict);
-  Alcotest.(check int) "calls" r1.Result.stats.Result.appver_calls
-    r2.Result.stats.Result.appver_calls;
-  Alcotest.(check int) "nodes" r1.Result.stats.Result.nodes r2.Result.stats.Result.nodes;
-  Alcotest.(check int) "max depth" r1.Result.stats.Result.max_depth
-    r2.Result.stats.Result.max_depth;
-  Alcotest.(check (list string)) "identical event sequence" (strip_timing ev1)
-    (strip_timing ev2);
-  (* sequential envelopes carry no domain tag *)
-  List.iter
-    (fun e -> Alcotest.(check bool) "untagged" true (e.Event.domain = None))
-    ev1
-
 (* --- multi-domain runs --- *)
 
 let verdicts_agree name a b =
@@ -430,8 +394,6 @@ let suite =
           test_default_domains_env;
         Alcotest.test_case "golden trace encoding unchanged" `Quick
           test_golden_encoding_unchanged;
-        Alcotest.test_case "domains:1 matches sequential engine" `Quick
-          test_domains1_matches_sequential;
         Alcotest.test_case "parallel verdicts match sequential" `Quick
           test_parallel_verdicts_match_sequential;
         Alcotest.test_case "parallel certificate passes check" `Quick
