@@ -4,8 +4,11 @@
     baseline: the frontier is a priority queue keyed by the certified
     bound [p̂], so the sub-problem the relaxation considers *most
     violated* is always expanded next.  Children are evaluated when
-    enqueued (their bound is the key).  This engine is the search
-    backbone of the αβ-CROWN-style baseline ([Abonn_crown]). *)
+    created (their bound is the key) with the shared {!Expand} node
+    step, and counted as nodes then: a counterexample in the first
+    child ends the run before the second is created.  This engine is
+    the search backbone of the αβ-CROWN-style baseline
+    ([Abonn_crown]). *)
 
 val verify :
   ?appver:Abonn_prop.Appver.t ->
@@ -17,9 +20,9 @@ val verify :
 (** Defaults: DeepPoly AppVer, DeepSplit heuristic, unlimited budget,
     [domains = Abonn_par.Pool.default_domains ()].
 
-    [domains = 1] is the sequential engine, bit-for-bit the historical
-    one.  [domains > 1] shards the frontier across a work-stealing
-    domain pool; the global best-first priority order does {e not}
-    survive sharding (each domain works LIFO on its own deque), so the
-    engine degrades toward plain parallel BaB — same verdict on
+    [domains = 1] is the sequential heap engine.  [domains > 1] runs
+    [Parfrontier.run], the pool loop [Bfs] uses too: the global
+    best-first priority order does {e not} survive sharding (each
+    domain works LIFO on its own deque, evaluating nodes when popped),
+    so the engine degrades toward plain parallel BaB — same verdict on
     complete runs, different path.  See docs/PARALLELISM.md. *)

@@ -1,10 +1,6 @@
-module Budget = Abonn_util.Budget
-module Resource = Abonn_obs.Resource
 module Region = Abonn_spec.Region
-module Verdict = Abonn_spec.Verdict
 module Problem = Abonn_spec.Problem
 module Property = Abonn_spec.Property
-module Outcome = Abonn_prop.Outcome
 module Appver = Abonn_prop.Appver
 module Matrix = Abonn_tensor.Matrix
 
@@ -83,163 +79,53 @@ let bisect (region : Region.t) dim =
   ( Region.create ~lower:region.Region.lower ~upper:upper_left,
     Region.create ~lower:lower_right ~upper:region.Region.upper )
 
-let verify_seq ~appver ~strategy ~budget ~min_width problem =
-  let started = Unix.gettimeofday () in
-  let affine = problem.Problem.affine in
-  let property = problem.Problem.property in
-  let sub_problem region = Problem.of_affine ~affine ~region ~property () in
-  let queue = Queue.create () in
-  (* Region bisection changes the input box, so a child can never share
-     a bound prefix — re-propagation is forced from layer 0 — but the
-     parent's state still tightens the child's bounds by intersection
-     (the [Tighten] reuse mode). *)
-  Queue.add (problem.Problem.region, 0, None) queue;
-  let nodes = ref 1 and max_depth = ref 0 in
-  let resource = Resource.create ~engine:"inputsplit" () in
-  (* Point-sized boxes that resist proving (margin touching 0 on a null
-     set) cannot be soundly pruned; they downgrade Verified to Timeout. *)
-  let unresolved_points = ref 0 in
-  let finish verdict =
-    Resource.final resource ~open_nodes:(Queue.length queue) ~nodes:!nodes
-      ~max_depth:!max_depth;
-    let verdict =
-      match verdict with
-      | Verdict.Verified when !unresolved_points > 0 -> Verdict.Timeout
-      | Verdict.Verified | Verdict.Falsified _ | Verdict.Timeout -> verdict
-    in
-    Result.make ~verdict ~appver_calls:(Budget.calls_used budget) ~nodes:!nodes
-      ~max_depth:!max_depth
-      ~wall_time:(Unix.gettimeofday () -. started)
+(* The input-split node step, shared by the sequential and parallel
+   region queues: bound the region, then bisect it, or check a
+   point-sized box concretely.  Region bisection changes the input box,
+   so a child can never share a bound prefix — re-propagation is forced
+   from layer 0 — but the parent's state still tightens the child's
+   bounds by intersection (the [Tighten] reuse mode). *)
+let visit k ~strategy ~min_width ~worker:_ ~push (region, depth, state) =
+  let problem = Expand.problem k in
+  let sub =
+    Problem.of_affine ~affine:problem.Problem.affine ~region
+      ~property:problem.Problem.property ()
   in
-  let rec loop () =
-    if Queue.is_empty queue then finish Verdict.Verified
-    else if Budget.exhausted budget then finish Verdict.Timeout
-    else begin
-      let region, depth, state = Queue.pop queue in
-      Resource.tick resource ~open_nodes:(Queue.length queue) ~nodes:!nodes
-        ~max_depth:!max_depth;
-      Budget.record_call budget;
-      let sub = sub_problem region in
-      let outcome, node_state = Appver.run_warm appver ?state sub [] in
-      if Outcome.proved outcome then loop ()
+  match Expand.evaluate k ~problem:sub ?state [] ~depth with
+  | _, `Verified -> None
+  | _, `Falsified x -> Some x
+  | node, `Open ->
+    let ((dim, _, _, _) as dchoice) =
+      match strategy with
+      | Widest -> widest_choice region
+      | Gradient_weighted -> gradient_choice sub region
+    in
+    (* Termination must consider the whole box: prune as a point only
+       when *every* dimension has collapsed. *)
+    let _, widest = widest_dim region in
+    if widest < min_width then begin
+      (* numerically a point: a concrete violation at the centre
+         concludes; otherwise stay sound and leave it unresolved (margins
+         touching 0 on a null set cannot be decided by bisection) *)
+      let centre = Region.center region in
+      if Problem.is_counterexample problem centre then Some centre
       else begin
-        let valid_cex =
-          match outcome.Outcome.candidate with
-          | Some x when Problem.is_counterexample problem x -> Some x
-          | Some _ | None -> None
-        in
-        match valid_cex with
-        | Some x -> finish (Verdict.Falsified x)
-        | None ->
-          let ((dim, _, _, _) as dchoice) =
-            match strategy with
-            | Widest -> widest_choice region
-            | Gradient_weighted -> gradient_choice sub region
-          in
-          (* Termination must consider the whole box: prune as a point
-             only when *every* dimension has collapsed. *)
-          let _, widest = widest_dim region in
-          if widest < min_width then begin
-            (* numerically a point: a concrete violation at the centre
-               concludes; otherwise stay sound and leave it unresolved *)
-            let centre = Region.center region in
-            if Problem.is_counterexample problem centre then
-              finish (Verdict.Falsified centre)
-            else begin
-              incr unresolved_points;
-              loop ()
-            end
-          end
-          else begin
-            dim_decision ~depth region dchoice;
-            let left, right = bisect region dim in
-            Queue.add (left, depth + 1, node_state) queue;
-            Queue.add (right, depth + 1, node_state) queue;
-            nodes := !nodes + 2;
-            max_depth := Stdlib.max !max_depth (depth + 1);
-            loop ()
-          end
+        Expand.unresolved k;
+        None
       end
     end
-  in
-  loop ()
-
-(* Parallel region loop: same body as [verify_seq], restated as a pool
-   work function over self-contained (region, depth, state) items. *)
-let verify_par ~appver ~strategy ~budget ~min_width ~domains problem =
-  let module Pool = Abonn_par.Pool in
-  let started = Unix.gettimeofday () in
-  let affine = problem.Problem.affine in
-  let property = problem.Problem.property in
-  let sub_problem region = Problem.of_affine ~affine ~region ~property () in
-  let st = Parfrontier.create ~engine:"inputsplit" ~budget in
-  Parfrontier.add_nodes st 1;
-  let unresolved_points = Atomic.make 0 in
-  let resource = Resource.create ~engine:"inputsplit" () in
-  let work ctx item =
-    Parfrontier.guard st ctx
-      (fun (region, depth, state) ->
-        if Pool.id ctx = 0 then
-          Resource.tick resource ~open_nodes:(Pool.queue_length ctx)
-            ~nodes:(Parfrontier.nodes st) ~max_depth:(Parfrontier.max_depth st);
-        Budget.record_call budget;
-        let sub = sub_problem region in
-        let outcome, node_state = Appver.run_warm appver ?state sub [] in
-        if Outcome.proved outcome then ()
-        else begin
-          let valid_cex =
-            match outcome.Outcome.candidate with
-            | Some x when Problem.is_counterexample problem x -> Some x
-            | Some _ | None -> None
-          in
-          match valid_cex with
-          | Some x -> Parfrontier.note_cex st ctx x
-          | None ->
-            let ((dim, _, _, _) as dchoice) =
-              match strategy with
-              | Widest -> widest_choice region
-              | Gradient_weighted -> gradient_choice sub region
-            in
-            let _, widest = widest_dim region in
-            if widest < min_width then begin
-              let centre = Region.center region in
-              if Problem.is_counterexample problem centre then
-                Parfrontier.note_cex st ctx centre
-              else Atomic.incr unresolved_points
-            end
-            else begin
-              dim_decision ~depth region dchoice;
-              let left, right = bisect region dim in
-              Pool.push ctx (left, depth + 1, node_state);
-              Pool.push ctx (right, depth + 1, node_state);
-              Parfrontier.add_nodes st 2;
-              Parfrontier.note_depth st (depth + 1)
-            end
-        end)
-      item
-  in
-  ignore
-    (Pool.run ~domains ~engine:"inputsplit"
-       ~roots:[ (problem.Problem.region, 0, None) ] ~work ());
-  let verdict =
-    match Parfrontier.verdict st with
-    | Verdict.Verified when Atomic.get unresolved_points > 0 -> Verdict.Timeout
-    | v -> v
-  in
-  Resource.final resource ~open_nodes:0 ~nodes:(Parfrontier.nodes st)
-    ~max_depth:(Parfrontier.max_depth st);
-  Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
-    ~nodes:(Parfrontier.nodes st) ~max_depth:(Parfrontier.max_depth st)
-    ~wall_time:(Unix.gettimeofday () -. started)
+    else begin
+      dim_decision ~depth region dchoice;
+      let left, right = bisect region dim in
+      Expand.push_children k ~push ~depth node.Expand.state left right;
+      None
+    end
 
 let verify ?(appver = Appver.deeppoly) ?(strategy = Gradient_weighted) ?budget
     ?(min_width = 1e-6) ?domains problem =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> 1
-    | None -> Abonn_par.Pool.default_domains ()
+  let k =
+    Expand.create ~engine:"inputsplit" ~metrics:"inputsplit" ~appver ?budget problem
   in
-  if domains <= 1 then verify_seq ~appver ~strategy ~budget ~min_width problem
-  else verify_par ~appver ~strategy ~budget ~min_width ~domains problem
+  Bfs.search k ~domains:(Expand.domains domains)
+    (problem.Problem.region, 0, None)
+    (visit k ~strategy ~min_width)

@@ -28,10 +28,13 @@ val verify :
   Result.t
 (** Defaults: DeepPoly, [Gradient_weighted], unlimited budget,
     [min_width = 1e-6], [domains = Abonn_par.Pool.default_domains ()]
-    ([domains = 1] is the sequential engine bit-for-bit; [> 1] shards
-    the region queue across a work-stealing domain pool — same verdict
+    (the region queue is {!Bfs.search}: a FIFO queue at [domains = 1];
+    [> 1] shards it across a work-stealing domain pool — same verdict
     on complete runs, scheduling-dependent visit order, see
-    docs/PARALLELISM.md).  A region narrower than [min_width] in every
+    docs/PARALLELISM.md).  Both run one visit per region, with the
+    shared {!Expand} bookkeeping: [frontier_pop] and [verdict_reached]
+    events and [inputsplit.pop] / [inputsplit.depth] metrics.  A region
+    narrower than [min_width] in every
     dimension that still resists proving is checked concretely at its
     centre: a violation there concludes [Falsified]; otherwise the box
     is left unresolved and a final all-other-boxes-proved result is

@@ -1,15 +1,12 @@
-(** Parallel BaB frontier: the engine-agnostic glue between the BaB
-    engines and the work-stealing domain pool ([Abonn_par.Pool]).
+(** Parallel BaB frontier: the work-stealing loop the engines run on
+    [domains > 1] ([--domains 1] never enters this module).
 
-    Engines keep their sequential loops untouched and bit-for-bit
-    reproducible ([--domains 1] never enters this module); with
-    [domains > 1] they restate the loop body as a pool work function
-    over self-contained frontier items (each item carries its parent's
-    incremental bound state, PR "incremental bound propagation", so any
-    domain can expand any node).  This module owns the shared run
-    state: the atomic counterexample slot, the timeout flag, node/depth
-    accounting, and the final verdict — see docs/PARALLELISM.md for the
-    determinism contract and the memory-ordering argument.
+    Frontier items are self-contained ({!Expand.item}: each carries its
+    parent's incremental bound state), so any domain can expand any
+    node, and the node step is the engines' shared {!Expand} one; this
+    module owns the run's stop state — the atomic counterexample slot
+    and the timeout flag.  See docs/PARALLELISM.md for the determinism
+    contract and the memory-ordering argument.
 
     Verdict semantics mirror the sequential engines exactly:
 
@@ -21,13 +18,9 @@
       raises the timeout flag and stops the pool ([Timeout]). *)
 
 type t
-(** Shared state of one parallel run. *)
+(** Stop state of one parallel run. *)
 
-val create : engine:string -> budget:Abonn_util.Budget.t -> t
-
-val engine : t -> string
-
-(** {1 Worker-side operations} (all safe from any domain) *)
+val create : unit -> t
 
 val note_cex : t -> 'a Abonn_par.Pool.ctx -> float array -> unit
 (** Record a validated counterexample and stop the pool.  The first
@@ -36,47 +29,18 @@ val note_cex : t -> 'a Abonn_par.Pool.ctx -> float array -> unit
 val note_timeout : t -> 'a Abonn_par.Pool.ctx -> unit
 (** Record that the budget tripped with work pending, and stop the pool. *)
 
-val guard : t -> 'a Abonn_par.Pool.ctx -> ('a -> unit) -> 'a -> unit
-(** [guard st ctx f] wraps an engine work function: items arriving
-    after a stop request are dropped, and the budget is re-checked
-    before every item ({!note_timeout} on exhaustion) — the parallel
-    counterpart of the sequential loop's per-iteration
-    [Budget.exhausted] check. *)
-
-val add_nodes : t -> int -> unit
-(** Count newly materialised BaB nodes. *)
-
-val note_depth : t -> int -> unit
-(** Raise the max-depth high-water mark. *)
-
-(** {1 Run-side operations} *)
-
-val nodes : t -> int
-
-val max_depth : t -> int
-
 val verdict : t -> Abonn_spec.Verdict.t
 (** The run's verdict per the rules above; call after [Pool.run]
     returns. *)
 
-val run_relu_split :
-  engine:string ->
-  domains:int ->
-  appver:Abonn_prop.Appver.t ->
-  heuristic:Branching.t ->
-  budget:Abonn_util.Budget.t ->
-  record:(Certificate.leaf -> unit) ->
-  Abonn_spec.Problem.t ->
-  Result.t
-(** The parallel ReLU-splitting frontier loop shared by [Bfs] and
-    [Bestfirst] ([engine] names the caller for traces and metrics):
-    pop a node, one AppVer call (warm-started from the parent's
-    incremental state), prune / validate / split on the heuristic's
-    ReLU, deciding fully-stabilised leaves exactly.  [record] is called
-    once per discharged leaf, serialised by an internal mutex.
-
-    Under parallel execution the visit order is the pool's LIFO +
-    steal order — neither BFS's FIFO nor best-first's global priority
-    order survives sharding, which changes the {e path} through the
-    tree but not the verdict (docs/PARALLELISM.md §3).  [frontier_pop]
-    events report the worker's own deque length and a [nan] priority. *)
+val run : Expand.t -> domains:int -> 'a Expand.item -> 'a Expand.visit -> Result.t
+(** Drain the tree grown from one root item on a work-stealing pool:
+    every item a worker takes is popped ({!Expand.popped}, with the
+    worker's own deque length and a [nan] priority) and visited by its
+    worker; the budget is re-checked before every item.  This is the
+    parallel loop of [Bfs], [Bestfirst] (whose children are then
+    evaluated when popped, not when pushed) and [Inputsplit].  The visit
+    order is the pool's LIFO + steal order: neither BFS's FIFO nor
+    best-first's global priority order survives sharding, which changes
+    the {e path} through the tree but not the verdict
+    (docs/PARALLELISM.md §3). *)

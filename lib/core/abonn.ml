@@ -4,75 +4,60 @@ module Obs = Abonn_obs.Obs
 module Ev = Abonn_obs.Event
 module Sink = Abonn_obs.Sink
 module Introspect = Abonn_obs.Introspect
-module Resource = Abonn_obs.Resource
 module Split = Abonn_spec.Split
 module Verdict = Abonn_spec.Verdict
 module Problem = Abonn_spec.Problem
 module Outcome = Abonn_prop.Outcome
-module Appver = Abonn_prop.Appver
 module Branching = Abonn_bab.Branching
 module Result = Abonn_bab.Result
-module Exact = Abonn_bab.Exact
+module Expand = Abonn_bab.Expand
+module Parfrontier = Abonn_bab.Parfrontier
+module Pool = Abonn_par.Pool
 
 type node = {
-  gamma : Split.gamma;
-  depth : int;
-  outcome : Outcome.t;
-  state : Abonn_prop.Incremental.t option;
-      (* incremental bound state, warm-starting this node's children *)
+  bab : Expand.node;  (* Γ, depth, AppVer outcome and warm state *)
   mutable reward : float;
   mutable size : int;  (* |T(Γ)|: nodes in the sub-tree rooted here *)
   mutable children : (node * node) option;
 }
 
 type search = {
-  problem : Problem.t;
+  k : Expand.t;
   config : Config.t;
-  budget : Budget.t;
   choose : Branching.chooser;
   num_relus : int;
   phat_min : float;  (* Def. 1 normaliser: the root's p̂ *)
   rng : Rng.t option;  (* only for the Uniform_random ablation *)
-  resource : Resource.t;
   mutable found_cex : float array option;
-  mutable nodes_created : int;
-  mutable max_depth : int;
 }
 
 let potentiality s ~depth ~phat ~valid_cex =
   Potentiality.value ~lambda:s.config.Config.lambda ~num_relus:s.num_relus
     ~phat_min:s.phat_min ~depth ~phat ~valid_cex
 
-(* Evaluate one fresh node: AppVer call (warm-started from the parent's
-   incremental state), candidate validation, reward. *)
-let eval_node ?parent s gamma depth =
-  Budget.record_call s.budget;
-  s.nodes_created <- s.nodes_created + 1;
-  s.max_depth <- Stdlib.max s.max_depth depth;
-  let outcome, state =
-    Appver.run_warm s.config.Config.appver ?state:parent s.problem gamma
-  in
+(* Score a freshly evaluated node: its reward, telemetry and resource
+   tick. *)
+let eval_node s ((bab : Expand.node), status) =
+  let depth = bab.depth and phat = bab.outcome.Outcome.phat in
   let valid_cex =
-    match outcome.Outcome.candidate with
-    | Some x when Problem.is_counterexample s.problem x ->
+    match status with
+    | `Falsified x ->
       s.found_cex <- Some x;
       true
-    | Some _ | None -> false
+    | `Verified | `Open -> false
   in
-  let reward = potentiality s ~depth ~phat:outcome.Outcome.phat ~valid_cex in
+  let reward = potentiality s ~depth ~phat ~valid_cex in
   if Obs.active () then begin
     Obs.incr "abonn.expand";
     Obs.observe "abonn.depth" (float_of_int depth);
     if Obs.tracing () then
       Obs.emit
         (Ev.Node_evaluated
-           { engine = "abonn"; depth; gamma = Split.to_string gamma;
-             phat = outcome.Outcome.phat; reward })
+           { engine = "abonn"; depth; gamma = Split.to_string bab.gamma; phat; reward })
   end;
   (* MCTS has no explicit frontier; open_nodes is 0 by convention *)
-  Resource.tick s.resource ~open_nodes:0 ~nodes:s.nodes_created
-    ~max_depth:s.max_depth;
-  { gamma; depth; outcome; state; reward; size = 1; children = None }
+  Expand.tick s.k ~open_nodes:0;
+  { bab; reward; size = 1; children = None }
 
 (* UCB1 (Alg. 1 Line 13), kept split into its exploitation (mean reward)
    and exploration (confidence radius) terms so introspection can report
@@ -104,7 +89,8 @@ let select s parent (plus, minus) =
   if Obs.active () then begin
     Obs.incr "abonn.select";
     if Obs.tracing () then begin
-      Obs.emit (Ev.Node_selected { engine = "abonn"; depth = chosen.depth; ucb = score });
+      Obs.emit
+        (Ev.Node_selected { engine = "abonn"; depth = chosen.bab.depth; ucb = score });
       (* Introspection: the full candidate picture behind this descent
          step, right after the node_selected it explains.  The ablation
          has no UCB to decompose, so it stays silent. *)
@@ -113,7 +99,7 @@ let select s parent (plus, minus) =
         if smp > 0 then
           Obs.emit
             (Ev.Ucb_decision
-               { engine = "abonn"; depth = chosen.depth;
+               { engine = "abonn"; depth = chosen.bab.depth;
                  chosen = (if chosen == plus then "+" else "-");
                  sample = smp;
                  plus_exploit = plus.reward;
@@ -128,45 +114,18 @@ let select s parent (plus, minus) =
   chosen
 
 (* Expansion (Lines 16–19): split on H's ReLU and evaluate both
-   children; fully-stabilised leaves are decided exactly instead. *)
+   children, each warm from this node's state; fully-stabilised leaves
+   are decided exactly instead. *)
 let expand s node =
-  match
-    s.choose ~gamma:node.gamma ~pre_bounds:node.outcome.Outcome.pre_bounds
-  with
-  | Some ch ->
-    let relu = ch.Branching.relu in
-    Branching.emit_decision ~engine:"abonn" ~kind:"relu" ~depth:node.depth ch;
-    (* both children warm-start from this node's state: the shared
-       pre-split bounds are computed once, not re-derived per child *)
-    let plus =
-      eval_node ?parent:node.state s
-        (Split.extend node.gamma ~relu ~phase:Split.Active) (node.depth + 1)
-    in
-    let minus =
-      eval_node ?parent:node.state s
-        (Split.extend node.gamma ~relu ~phase:Split.Inactive) (node.depth + 1)
-    in
+  match Expand.branch s.k s.choose node.bab with
+  | `Split (active, inactive) ->
+    let plus = eval_node s (Expand.child s.k node.bab active) in
+    let minus = eval_node s (Expand.child s.k node.bab inactive) in
     node.children <- Some (plus, minus)
-  | None ->
-    Budget.record_call s.budget;
-    let resolution =
-      Exact.resolve ~pre_bounds:node.outcome.Outcome.pre_bounds s.problem
-        node.gamma
-    in
-    begin match resolution with
-    | `Verified -> node.reward <- neg_infinity
-    | `Falsified x ->
-      s.found_cex <- Some x;
-      node.reward <- infinity
-    end;
-    if Obs.active () then begin
-      Obs.incr "abonn.exact";
-      if Obs.tracing () then
-        Obs.emit
-          (Ev.Exact_leaf
-             { engine = "abonn"; depth = node.depth;
-               verified = (resolution = `Verified) })
-    end
+  | `Verified -> node.reward <- neg_infinity
+  | `Falsified x ->
+    s.found_cex <- Some x;
+    node.reward <- infinity
 
 (* One MCTS-BAB descent (Alg. 1 Lines 10–21).  Rewards and sizes are
    refreshed on the way back up so every ancestor sees the new frontier. *)
@@ -188,7 +147,7 @@ let rec mcts_bab s node =
       if Obs.tracing () then
         Obs.emit
           (Ev.Backprop
-             { engine = "abonn"; depth = node.depth; reward = node.reward;
+             { engine = "abonn"; depth = node.bab.depth; reward = node.reward;
                size = node.size })
     end
   | None -> ()
@@ -203,68 +162,48 @@ let trace_sink trace =
         trace ~depth ~gamma:(Split.of_string gamma) ~reward
       | _ -> ())
 
-let verify_seq ~config ~budget ?trace problem =
-  let started = Unix.gettimeofday () in
-  let rng = match config.Config.selection with
-    | Config.Ucb1 -> None
-    | Config.Uniform_random seed -> Some (Rng.create seed)
+(* Initialisation (Lines 1–4), shared by both searches: evaluate the
+   root.  The normaliser needs the root p̂, so the root is scored under a
+   placeholder first and re-scored under the final normaliser. *)
+let start ~config ?budget problem =
+  let k =
+    Expand.create ~engine:"abonn" ~metrics:"abonn" ~appver:config.Config.appver ?budget
+      problem
   in
-  (* Initialisation (Lines 1–4): evaluate the root.  The normaliser needs
-     the root p̂ before the search record exists, so bootstrap with a
-     placeholder and patch it. *)
   let s =
-    { problem;
+    { k;
       config;
-      budget;
       choose = config.Config.heuristic.Branching.prepare problem;
       num_relus = Stdlib.max 1 (Problem.num_relus problem);
       phat_min = -1.0;
-      rng;
-      resource = Resource.create ~engine:"abonn" ();
-      found_cex = None;
-      nodes_created = 0;
-      max_depth = 0 }
+      rng =
+        (match config.Config.selection with
+         | Config.Ucb1 -> None
+         | Config.Uniform_random seed -> Some (Rng.create seed));
+      found_cex = None }
   in
-  let search () =
-    let root0 = eval_node s [] 0 in
-    let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
-    (* Recompute the root reward under the final normaliser. *)
-    let root =
-      { root0 with
-        reward =
-          potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
-            ~valid_cex:(s.found_cex <> None) }
-    in
-    let finish verdict =
-      let wall_time = Unix.gettimeofday () -. started in
-      Resource.final s.resource ~open_nodes:0 ~nodes:s.nodes_created
-        ~max_depth:s.max_depth;
-      if Obs.tracing () then
-        Obs.emit
-          (Ev.Verdict_reached
-             { engine = "abonn"; verdict = Verdict.to_string verdict;
-               elapsed = wall_time });
-      Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
-        ~nodes:s.nodes_created ~max_depth:s.max_depth ~wall_time
-    in
-    (* Termination (Line 5 / Lines 6–9). *)
-    let rec loop () =
-      if root.reward = infinity then
-        match s.found_cex with
-        | Some x -> finish (Verdict.Falsified x)
-        | None -> finish Verdict.Timeout (* unreachable: +∞ implies a stored cex *)
-      else if root.reward = neg_infinity then finish Verdict.Verified
-      else if Budget.exhausted budget then finish Verdict.Timeout
-      else begin
-        mcts_bab s root;
-        loop ()
-      end
-    in
-    loop ()
+  let root = eval_node s (Expand.evaluate k [] ~depth:0) in
+  let phat = root.bab.outcome.Outcome.phat in
+  let s = { s with phat_min = Float.min phat (-1e-12) } in
+  let reward = potentiality s ~depth:0 ~phat ~valid_cex:(s.found_cex <> None) in
+  (s, { root with reward })
+
+(* Termination (Line 5 / Lines 6–9). *)
+let mcts s root =
+  let finish = Expand.finish s.k ~open_nodes:0 in
+  let rec loop () =
+    if root.reward = infinity then
+      match s.found_cex with
+      | Some x -> finish (Verdict.Falsified x)
+      | None -> finish Verdict.Timeout (* unreachable: +∞ implies a stored cex *)
+    else if root.reward = neg_infinity then finish Verdict.Verified
+    else if Budget.exhausted (Expand.budget s.k) then finish Verdict.Timeout
+    else begin
+      mcts_bab s root;
+      loop ()
+    end
   in
-  match trace with
-  | None -> search ()
-  | Some t -> Obs.with_sink (trace_sink t) search
+  loop ()
 
 (* --- parallel ABONN: seed expansion + per-subtree search portfolio ---
 
@@ -276,154 +215,81 @@ let verify_seq ~config ~budget ?trace problem =
    work-stealing pool item and gets a full, independent MCTS search of
    its sub-tree.  Sub-trees are disjoint and every frontier node
    carries its own incremental bound state, so workers share nothing
-   but the (atomic) budget and the stop flag.  See docs/PARALLELISM.md. *)
-
-module Pool = Abonn_par.Pool
-
-let verify_par ~domains ~config ~budget ?trace problem =
-  let started = Unix.gettimeofday () in
-  let seed_rng_seed =
-    match config.Config.selection with
-    | Config.Ucb1 -> 0
-    | Config.Uniform_random seed -> seed
+   but the run's atomic counts, the budget and the stop state.  See
+   docs/PARALLELISM.md. *)
+let portfolio s root ~domains =
+  let budget = Expand.budget s.k in
+  let finish = Expand.finish s.k ~open_nodes:0 in
+  (* Seed phase: breadth-first expansion on the calling domain until
+     the frontier can feed every worker (≥ 2 sub-trees per domain). *)
+  let frontier = Queue.create () in
+  let undecided n = n.reward > neg_infinity && n.reward < infinity in
+  if undecided root then Queue.add root frontier;
+  let rec seed () =
+    if s.found_cex <> None then `Cex
+    else if Queue.is_empty frontier then `All_proved
+    else if Budget.exhausted budget then `Timeout
+    else if Queue.length frontier >= 2 * domains then `Frontier
+    else begin
+      let node = Queue.pop frontier in
+      expand s node;
+      (match node.children with
+       | Some (plus, minus) ->
+         if undecided plus then Queue.add plus frontier;
+         if undecided minus then Queue.add minus frontier
+       | None -> () (* exact leaf: reward pinned to ±∞ by [expand] *));
+      seed ()
+    end
   in
-  let s =
-    { problem;
-      config;
-      budget;
-      choose = config.Config.heuristic.Branching.prepare problem;
-      num_relus = Stdlib.max 1 (Problem.num_relus problem);
-      phat_min = -1.0;
-      rng =
-        (match config.Config.selection with
-         | Config.Ucb1 -> None
-         | Config.Uniform_random seed -> Some (Rng.create seed));
-      resource = Resource.create ~engine:"abonn" ();
-      found_cex = None;
-      nodes_created = 0;
-      max_depth = 0 }
-  in
-  let search () =
-    let root0 = eval_node s [] 0 in
-    let s = { s with phat_min = Float.min root0.outcome.Outcome.phat (-1e-12) } in
-    let root =
-      { root0 with
-        reward =
-          potentiality s ~depth:0 ~phat:root0.outcome.Outcome.phat
-            ~valid_cex:(s.found_cex <> None) }
-    in
-    (* merged across the seed phase and every worker sub-search *)
-    let nodes_total = Atomic.make 0 and depth_total = Atomic.make 0 in
-    let note_depth d =
-      let rec go () =
-        let cur = Atomic.get depth_total in
-        if d > cur && not (Atomic.compare_and_set depth_total cur d) then go ()
-      in
-      go ()
-    in
-    let finish verdict =
-      Atomic.fetch_and_add nodes_total s.nodes_created |> ignore;
-      note_depth s.max_depth;
-      let wall_time = Unix.gettimeofday () -. started in
-      Resource.final s.resource ~open_nodes:0 ~nodes:(Atomic.get nodes_total)
-        ~max_depth:(Atomic.get depth_total);
-      if Obs.tracing () then
-        Obs.emit
-          (Ev.Verdict_reached
-             { engine = "abonn"; verdict = Verdict.to_string verdict;
-               elapsed = wall_time });
-      Result.make ~verdict ~appver_calls:(Budget.calls_used budget)
-        ~nodes:(Atomic.get nodes_total) ~max_depth:(Atomic.get depth_total)
-        ~wall_time
-    in
-    (* Seed phase: breadth-first expansion on the calling domain until
-       the frontier can feed every worker (≥ 2 sub-trees per domain). *)
-    let frontier = Queue.create () in
-    let undecided n = n.reward > neg_infinity && n.reward < infinity in
-    if undecided root then Queue.add root frontier;
-    let target = 2 * domains in
-    let rec seed () =
-      if s.found_cex <> None then `Cex
-      else if Queue.is_empty frontier then `All_proved
-      else if Budget.exhausted budget then `Timeout
-      else if Queue.length frontier >= target then `Frontier
-      else begin
-        let node = Queue.pop frontier in
-        expand s node;
-        (match node.children with
-         | Some (plus, minus) ->
-           if undecided plus then Queue.add plus frontier;
-           if undecided minus then Queue.add minus frontier
-         | None -> () (* exact leaf: reward pinned to ±∞ by [expand] *));
-        seed ()
+  match seed () with
+  | `Cex -> finish (Verdict.Falsified (Option.get s.found_cex))
+  | `All_proved -> finish Verdict.Verified
+  | `Timeout -> finish Verdict.Timeout
+  | `Frontier ->
+    let st = Parfrontier.create () in
+    let config = s.config in
+    let work ctx (node : node) =
+      if not (Pool.stop_requested ctx) then begin
+        let s =
+          { s with
+            choose = config.Config.heuristic.Branching.prepare (Expand.problem s.k);
+            rng =
+              (match config.Config.selection with
+               | Config.Ucb1 -> None
+               | Config.Uniform_random _ -> Some (Pool.rng ctx));
+            found_cex = None }
+        in
+        let rec sub_loop () =
+          if node.reward = infinity then
+            match s.found_cex with
+            | Some x -> Parfrontier.note_cex st ctx x
+            | None -> Parfrontier.note_timeout st ctx
+          else if node.reward = neg_infinity (* sub-tree proved *)
+                  || Pool.stop_requested ctx then ()
+          else if Budget.exhausted budget then Parfrontier.note_timeout st ctx
+          else begin
+            mcts_bab s node;
+            sub_loop ()
+          end
+        in
+        sub_loop ()
       end
     in
-    match seed () with
-    | `Cex -> finish (Verdict.Falsified (Option.get s.found_cex))
-    | `All_proved -> finish Verdict.Verified
-    | `Timeout -> finish Verdict.Timeout
-    | `Frontier ->
-      let found = Atomic.make None and timeout = Atomic.make false in
-      let resources =
-        Array.init domains (fun _ -> Resource.create ~engine:"abonn" ())
-      in
-      let work ctx (node : node) =
-        if not (Pool.stop_requested ctx) then begin
-          let s_w =
-            { s with
-              choose = config.Config.heuristic.Branching.prepare problem;
-              rng =
-                (match config.Config.selection with
-                 | Config.Ucb1 -> None
-                 | Config.Uniform_random _ -> Some (Pool.rng ctx));
-              resource = resources.(Pool.id ctx);
-              found_cex = None;
-              nodes_created = 0;
-              max_depth = node.depth }
-          in
-          let rec sub_loop () =
-            if node.reward = infinity then begin
-              (match s_w.found_cex with
-               | Some x -> ignore (Atomic.compare_and_set found None (Some x))
-               | None -> Atomic.set timeout true);
-              Pool.request_stop ctx
-            end
-            else if node.reward = neg_infinity then () (* sub-tree proved *)
-            else if Pool.stop_requested ctx then ()
-            else if Budget.exhausted budget then begin
-              Atomic.set timeout true;
-              Pool.request_stop ctx
-            end
-            else begin
-              mcts_bab s_w node;
-              sub_loop ()
-            end
-          in
-          sub_loop ();
-          Atomic.fetch_and_add nodes_total s_w.nodes_created |> ignore;
-          note_depth s_w.max_depth
-        end
-      in
-      let roots = List.of_seq (Queue.to_seq frontier) in
-      ignore
-        (Pool.run ~domains ~seed:seed_rng_seed ~engine:"abonn" ~roots ~work ());
-      (match Atomic.get found with
-       | Some x -> finish (Verdict.Falsified x)
-       | None ->
-         if Atomic.get timeout then finish Verdict.Timeout
-         else finish Verdict.Verified)
+    let rng_seed =
+      match config.Config.selection with
+      | Config.Ucb1 -> 0
+      | Config.Uniform_random seed -> seed
+    in
+    let roots = List.of_seq (Queue.to_seq frontier) in
+    ignore (Pool.run ~domains ~seed:rng_seed ~engine:"abonn" ~roots ~work ());
+    finish (Parfrontier.verdict st)
+
+let verify ?(config = Config.default) ?budget ?trace ?domains problem =
+  let domains = Expand.domains domains in
+  let search () =
+    let s, root = start ~config ?budget problem in
+    if domains <= 1 then mcts s root else portfolio s root ~domains
   in
   match trace with
   | None -> search ()
   | Some t -> Obs.with_sink (trace_sink t) search
-
-let verify ?(config = Config.default) ?budget ?trace ?domains problem =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> 1
-    | None -> Pool.default_domains ()
-  in
-  if domains <= 1 then verify_seq ~config ~budget ?trace problem
-  else verify_par ~domains ~config ~budget ?trace problem

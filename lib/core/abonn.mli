@@ -19,9 +19,13 @@
     - {b Termination}: root reward +∞ ⇒ [Falsified]; −∞ ⇒ [Verified];
       exhausted budget ⇒ [Timeout].
 
+    Each node gets the node step every engine shares
+    ([Abonn_bab.Expand]): one warm AppVer call, with the candidate of
+    an unproved node validated, and the chooser's split.
     Fully-stabilised leaves (no splittable ReLU, yet an invalidated
     negative bound) are decided exactly under the node's own bounds
-    ([Abonn_bab.Exact]), preserving completeness. *)
+    ([Abonn_bab.Exact]), preserving completeness.  This module keeps
+    only the UCB1 tree policy. *)
 
 val verify :
   ?config:Config.t ->
@@ -40,9 +44,9 @@ val verify :
 
     [domains] defaults to [Abonn_par.Pool.default_domains ()] (the
     [ABONN_DOMAINS] environment variable, else 1).  [domains = 1] is
-    the sequential engine, bit-for-bit the historical one.  Because a
-    UCB1 descent is inherently sequential, [domains > 1] parallelises
-    at the sub-tree level: a breadth-first seed phase grows the tree
+    the sequential engine.  Because a UCB1 descent is inherently
+    sequential, [domains > 1] parallelises at the sub-tree level: after
+    the same root set-up, a breadth-first seed phase grows the tree
     until the frontier holds [2 × domains] undecided nodes, then each
     sub-tree gets an independent MCTS search as a work-stealing pool
     item.  Verdicts of complete runs are unchanged; the exploration

@@ -78,6 +78,8 @@ let of_events events =
   let node_evaluated = ref 0 and frontier_pop = ref 0 and exact_leaf = ref 0 in
   let bound_computed = ref 0 in
   let max_depth = ref 0 and last_frontier = ref 0 in
+  (* the engine's own running totals, from its last resource_sample *)
+  let sampled = ref None in
   let engine_elapsed = ref None in
   let t_first = ref None and t_last = ref 0.0 in
   (* parallel-run attribution: envelope domain tags + domain_summary *)
@@ -142,8 +144,8 @@ let of_events events =
         | _ -> incr fr_mis)
      | Some (Event.Branch_decision { engine = en; depth = d; _ }) ->
        incr br_total;
-       (* engines with no depth-bearing host events (inputsplit) leave
-          no focus to check against; that is not a mismatch *)
+       (* an engine with no depth-bearing host events leaves no focus
+          to check against; that is not a mismatch *)
        (match Hashtbl.find_opt focus en with
         | Some fd when fd <> d -> incr br_mis
         | Some _ | None -> ())
@@ -201,11 +203,12 @@ let of_events events =
       | Event.Bound_computed { depth = d; _ } ->
         incr bound_computed;
         depth d
+      | Event.Resource_sample { nodes; max_depth = d; _ } -> sampled := Some (nodes, d)
       (* bound_reuse is a cache-effectiveness annotation on the
          preceding bound_computed, not extra AppVer work: it must not
          perturb call/node reconstruction. *)
       | Event.Lp_solved _ | Event.Lp_warm _ | Event.Attack_tried _
-      | Event.Bound_reuse _ | Event.Resource_sample _ -> ()
+      | Event.Bound_reuse _ -> ()
       | Event.Verdict_reached { engine = e; verdict = v; elapsed } ->
         saw_engine e;
         verdict := Some v;
@@ -228,10 +231,16 @@ let of_events events =
     | "bab-baseline" -> (!frontier_pop + !exact_leaf, !frontier_pop + !last_frontier)
     | "bestfirst" -> (!bound_computed + !exact_leaf, !bound_computed)
     | _ ->
-      (* Unknown instrumentation: bound_computed counts AppVer work for
-         every built-in approximate verifier. *)
+      (* Unknown instrumentation (and inputsplit): bound_computed counts
+         AppVer work for every built-in approximate verifier. *)
       ( !bound_computed + !exact_leaf,
         Stdlib.max !node_evaluated (Stdlib.max !frontier_pop !bound_computed) )
+  in
+  (* Every engine's finish path takes a final resource sample carrying
+     its own node count and max depth; the event formulas above cannot
+     see the children pushed after the last pop. *)
+  let nodes, max_depth =
+    match !sampled with Some (n, d) -> (n, d) | None -> (nodes, !max_depth)
   in
   let wall =
     match !engine_elapsed with
@@ -277,7 +286,7 @@ let of_events events =
   let verdict, calls, nodes, max_depth, wall =
     match (reported_is_truth, !reported) with
     | true, Some r -> (Some r.verdict, r.calls, r.nodes, r.max_depth, r.wall)
-    | _ -> (!verdict, calls, nodes, !max_depth, wall)
+    | _ -> (!verdict, calls, nodes, max_depth, wall)
   in
   (* Coverage (host without annotation) is only a defect under full
      sampling: with --introspect 1 every eligible host must be answered;

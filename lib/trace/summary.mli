@@ -7,17 +7,20 @@
     reported — verdict, AppVer calls, nodes, max depth, wall time —
     from the event stream alone.
 
-    Reconstruction is exact for the engines whose instrumentation pins
-    every statistic to an event:
+    Calls are rebuilt from events:
 
-    - [abonn]: calls = node_evaluated + exact_leaf, nodes =
-      node_evaluated, max depth = max node_evaluated depth;
-    - [bestfirst]: calls = bound_computed + exact_leaf, nodes = max
-      depth from bound_computed;
-    - [bab-baseline]: calls = frontier_pop + exact_leaf is exact; node
-      and depth counts are derived from frontier sizes and can
-      undercount by one split (2 nodes / 1 depth) on timeout, because
-      nodes pushed after the final pop are invisible to the trace.
+    - [abonn]: node_evaluated + exact_leaf;
+    - [bab-baseline]: frontier_pop + exact_leaf;
+    - [bestfirst], [inputsplit] and unknown engines: bound_computed +
+      exact_leaf.
+
+    Nodes and max depth come from the segment's last [resource_sample]:
+    every engine's finish path takes one, carrying the engine's own
+    totals — including the children pushed after the last pop, which
+    no other event shows.  Without a sample they fall back to event
+    formulas (abonn: node_evaluated; bab-baseline: pops plus the
+    frontier after the last pop; bestfirst: bound_computed; depth: the
+    deepest event), which can undercount a run whose last node split.
 
     Harness traces carry the ground truth in [run_finished]; it is kept
     in [reported] so consumers can cross-check the reconstruction. *)

@@ -66,7 +66,8 @@ let engines =
   [ ("bfs", plain (fun p -> Bfs.verify ~budget:(budget ()) ~domains:1 p));
     ("bfs-cert", fun p -> Bfs.verify_with_certificate ~budget:(budget ()) ~domains:1 p);
     ("bestfirst", plain (fun p -> Bestfirst.verify ~budget:(budget ()) ~domains:1 p));
-    ("ab-crown", plain (fun p -> Abonn_crown.Alphabeta.verify ~budget:(budget ()) ~domains:1 p));
+    ( "ab-crown",
+      plain (fun p -> Abonn_crown.Alphabeta.verify ~budget:(budget ()) ~domains:1 p) );
     ("abonn-ucb1", plain (fun p -> Abonn.verify ~budget:(budget ()) ~domains:1 p));
     ( "abonn-random",
       plain (fun p ->
@@ -101,7 +102,8 @@ let untimed env =
 let counts names =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun n -> Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n)))
+    (fun n ->
+      Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n)))
     names;
   Hashtbl.fold (fun n c acc -> Printf.sprintf "%s:%d" n c :: acc) tbl []
   |> List.sort compare |> String.concat ","

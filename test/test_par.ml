@@ -11,6 +11,7 @@ module Budget = Abonn_util.Budget
 module Obs = Abonn_obs.Obs
 module Sink = Abonn_obs.Sink
 module Event = Abonn_obs.Event
+module Metrics = Abonn_obs.Metrics
 module Deque = Abonn_par.Deque
 module Pool = Abonn_par.Pool
 module Region = Abonn_spec.Region
@@ -341,6 +342,37 @@ let test_parallel_trace_attribution () =
   Alcotest.(check string) "verdict reached" "verified"
     (Verdict.to_string r.Result.verdict)
 
+(* Metric names do not depend on the domain count: a parallel
+   bab-baseline run counts under the same bfs.* names as the sequential
+   engine (docs/TRACE_SCHEMA.md §3), not under its trace name. *)
+let test_parallel_bfs_metric_names () =
+  let problem = random_problem ~seed:0 ~dims:[ 2; 6; 2 ] ~eps:0.35 () in
+  let was_enabled = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.reset ();
+        Metrics.set_enabled was_enabled)
+      (fun () ->
+        ignore (Bfs.verify ~domains:2 problem);
+        Metrics.snapshot ())
+  in
+  let counter name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
+  Alcotest.(check bool) "bfs.pop counted" true (counter "bfs.pop" > 0);
+  Alcotest.(check bool) "bfs.exact counted" true (counter "bfs.exact" > 0);
+  Alcotest.(check bool) "bfs.depth observed" true
+    (List.mem_assoc "bfs.depth" snap.Metrics.hists);
+  let names =
+    List.map fst snap.Metrics.counters
+    @ List.map fst snap.Metrics.spans
+    @ List.map fst snap.Metrics.gauges
+    @ List.map fst snap.Metrics.hists
+  in
+  Alcotest.(check (list string)) "no bab-baseline.* metric" []
+    (List.filter (String.starts_with ~prefix:"bab-baseline.") names)
+
 let test_domain_tag_round_trip () =
   let env =
     { Event.seq = 7; t = 0.5; domain = Some 2;
@@ -400,6 +432,8 @@ let suite =
           test_parallel_certificate_checks;
         Alcotest.test_case "parallel trace attribution adds up" `Quick
           test_parallel_trace_attribution;
+        Alcotest.test_case "parallel bfs metric names" `Quick
+          test_parallel_bfs_metric_names;
         Alcotest.test_case "domain tag JSON round-trip" `Quick
           test_domain_tag_round_trip
       ] )

@@ -352,23 +352,21 @@ let traced_run verify =
   let events = read_clean path in
   (result, events)
 
-(* [exact_shape]: bab-baseline node/depth reconstruction may undercount
-   by one split on timeout (see Summary docs), so those two fields are
-   only asserted for solved runs there. *)
-let check_summary_matches ?(exact_shape = true) name (result : Result.t) events =
+let check_summary_matches ?engine name (result : Result.t) events =
   match Summary.runs events with
   | [ run ] ->
+    Option.iter
+      (fun e -> Alcotest.(check string) (name ^ " engine") e run.Summary.engine)
+      engine;
     Alcotest.(check (option string)) (name ^ " verdict")
       (Some (Verdict.to_string result.Result.verdict))
       run.Summary.verdict;
     Alcotest.(check int) (name ^ " calls") result.Result.stats.Result.appver_calls
       run.Summary.calls;
-    if exact_shape then begin
-      Alcotest.(check int) (name ^ " nodes") result.Result.stats.Result.nodes
-        run.Summary.nodes;
-      Alcotest.(check int) (name ^ " max depth") result.Result.stats.Result.max_depth
-        run.Summary.max_depth
-    end
+    Alcotest.(check int) (name ^ " nodes") result.Result.stats.Result.nodes
+      run.Summary.nodes;
+    Alcotest.(check int) (name ^ " max depth") result.Result.stats.Result.max_depth
+      run.Summary.max_depth
   | runs ->
     Alcotest.fail (Printf.sprintf "%s: expected 1 run, got %d" name (List.length runs))
 
@@ -393,10 +391,7 @@ let test_summary_reproduces_bfs_run () =
         traced_run (fun () ->
             Abonn_bab.Bfs.verify ~budget:(Budget.of_calls 200) ~domains:1 problem)
       in
-      let exact_shape = Verdict.is_solved result.Result.verdict in
-      check_summary_matches ~exact_shape
-        (Printf.sprintf "bfs seed %d" seed)
-        result events)
+      check_summary_matches (Printf.sprintf "bfs seed %d" seed) result events)
     [ 0; 1; 2 ]
 
 let test_summary_reproduces_bestfirst_run () =
@@ -406,6 +401,44 @@ let test_summary_reproduces_bestfirst_run () =
         Abonn_bab.Bestfirst.verify ~budget:(Budget.of_calls 200) problem)
   in
   check_summary_matches "bestfirst" result events
+
+(* A timed-out run whose last expansion split: the two children it
+   created appear in no event after the last pop, only in the final
+   resource sample — summary must still equal the engine's Result. *)
+let check_timeout_summary ~engine verify () =
+  let problem = random_problem ~seed:1 ~dims:[ 3; 6; 6; 6; 2 ] ~eps:0.5 () in
+  let result, events =
+    Abonn_obs.Introspect.with_rate (Some 1) (fun () ->
+        traced_run (fun () -> verify ~budget:(Budget.of_calls 300) problem))
+  in
+  Alcotest.(check string) (engine ^ " times out") "timeout"
+    (Verdict.to_string result.Result.verdict);
+  let last p =
+    snd
+      (List.fold_left
+         (fun (i, found) e -> (i + 1, if p e.Event.event then i else found))
+         (0, -1) events)
+  in
+  let last_split = last (function Event.Branch_decision _ -> true | _ -> false) in
+  let last_other =
+    last (function Event.Frontier_pop _ | Event.Exact_leaf _ -> true | _ -> false)
+  in
+  Alcotest.(check bool) (engine ^ " last expansion split") true (last_split > last_other);
+  check_summary_matches ~engine engine result events
+
+let summary_timeout_cases =
+  [ ( "exact on bfs timeout",
+      check_timeout_summary ~engine:"bab-baseline" (fun ~budget p ->
+          Abonn_bab.Bfs.verify ~budget ~domains:1 p) );
+    ( "exact on bestfirst timeout",
+      check_timeout_summary ~engine:"bestfirst" (fun ~budget p ->
+          Abonn_bab.Bestfirst.verify ~budget ~domains:1 p) );
+    ( "exact on abonn timeout",
+      check_timeout_summary ~engine:"abonn" (fun ~budget p ->
+          Abonn_core.Abonn.verify ~budget ~domains:1 p) );
+    ( "exact on inputsplit timeout",
+      check_timeout_summary ~engine:"inputsplit" (fun ~budget p ->
+          Abonn_bab.Inputsplit.verify ~budget ~domains:1 p) ) ]
 
 (* --- diff --- *)
 
@@ -834,7 +867,10 @@ let suite =
         Alcotest.test_case "reproduces bfs run" `Quick test_summary_reproduces_bfs_run;
         Alcotest.test_case "reproduces bestfirst run" `Quick
           test_summary_reproduces_bestfirst_run
-      ] );
+      ]
+      @ List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick f)
+          summary_timeout_cases );
     ( "trace.diff",
       [ Alcotest.test_case "self diff is neutral" `Quick test_diff_self_is_neutral;
         Alcotest.test_case "abonn vs bfs" `Quick test_diff_abonn_vs_bfs;
