@@ -105,8 +105,9 @@ let bench_appver_lp =
 let bench_appver_lp_warm =
   (* one split below the root, phase matched to the region centre so the
      cell stays feasible: the call re-optimises the root's cached basis
-     by dual simplex and reoptimizes the remaining property rows on the
-     live tableau instead of solving every row cold (DESIGN.md §13) *)
+     by dual simplex instead of solving the first property row from
+     scratch as kernel_lp_call does; both reoptimize the remaining rows
+     on the live tableau (DESIGN.md §13) *)
   let child_gamma =
     let affine = first_problem.Abonn_spec.Problem.affine in
     let region = first_problem.Abonn_spec.Problem.region in

@@ -100,7 +100,7 @@ let restore_default_handlers () =
    result; registry bookkeeping is left to the callers (a VNNLIB spec
    appends one joined record for several of these runs). *)
 let verify_core problem engine lambda c heuristic appver calls seconds trace_file
-    progress stats no_cache domains introspect flight_path lp_triage no_lp_warm
+    progress stats no_cache domains introspect flight_path lp_triage
     ~context =
   let heuristic =
     match Abonn_bab.Branching.find heuristic with
@@ -123,7 +123,6 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
         ~expensive:Abonn_lp.Lp_verifier.appver ()
     | None -> appver
   in
-  Abonn_lp.Lp_verifier.set_warm_enabled (not no_lp_warm);
   let budget = Budget.combine ~calls ?seconds () in
   Introspect.set introspect;
   let flight = Option.map (fun _ -> Sink.flight ()) flight_path in
@@ -192,10 +191,10 @@ let append_registry registry ~domains ~engine ~model ~instance ~source_format
 
 let verify_problem problem engine lambda c heuristic appver calls seconds trace_file
     progress stats no_cache registry domains introspect flight_path lp_triage
-    no_lp_warm ~model ~instance ~context ~source_format =
+    ~model ~instance ~context ~source_format =
   match
     verify_core problem engine lambda c heuristic appver calls seconds trace_file
-      progress stats no_cache domains introspect flight_path lp_triage no_lp_warm
+      progress stats no_cache domains introspect flight_path lp_triage
       ~context
   with
   | Error msg -> `Error (false, msg)
@@ -214,7 +213,7 @@ let verify_problem problem engine lambda c heuristic appver calls seconds trace_
    (summed cost, joined verdict, source_format = "onnx+vnnlib"). *)
 let verify_spec problems engine lambda c heuristic appver calls seconds trace_file
     progress stats no_cache registry domains introspect flight_path lp_triage
-    no_lp_warm ~model ~instance ~context =
+    ~model ~instance ~context =
   let total = List.length problems in
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
@@ -222,7 +221,7 @@ let verify_spec problems engine lambda c heuristic appver calls seconds trace_fi
       match
         verify_core problem engine lambda c heuristic appver calls seconds
           trace_file progress stats no_cache domains introspect flight_path
-          lp_triage no_lp_warm
+          lp_triage
           ~context:(Printf.sprintf "%s disjunct=%d/%d" context (i + 1) total)
       with
       | Error msg -> Error msg
@@ -255,7 +254,7 @@ let verify_spec problems engine lambda c heuristic appver calls seconds trace_fi
 
 let run problem_file onnx_file vnnlib_file model_name index eps factor engine lambda c
     heuristic appver calls seconds models_dir trace_file progress stats no_cache
-    registry domains introspect flight no_flight lp_triage no_lp_warm =
+    registry domains introspect flight no_flight lp_triage =
   let flight_path = if no_flight then None else Some flight in
   try
     match (problem_file, onnx_file, vnnlib_file) with
@@ -267,7 +266,7 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
       let problem = Abonn_spec.Problem_file.load path in
       verify_problem problem engine lambda c heuristic appver calls seconds trace_file
         progress stats no_cache registry domains introspect flight_path lp_triage
-        no_lp_warm ~model:"problem-file"
+        ~model:"problem-file"
         ~instance:(Filename.basename path)
         ~context:(Printf.sprintf "problem=%s" path)
         ~source_format:"native"
@@ -278,7 +277,6 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
       let problems = Abonn_spec.Vnnlib.problems ~name ~network spec in
       verify_spec problems engine lambda c heuristic appver calls seconds trace_file
         progress stats no_cache registry domains introspect flight_path lp_triage
-        no_lp_warm
         ~model:(Filename.basename onnx_path)
         ~instance:(Filename.basename vnnlib_path)
         ~context:(Printf.sprintf "onnx=%s vnnlib=%s" onnx_path vnnlib_path)
@@ -296,7 +294,7 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
          | `Ok (problem, eps) ->
            verify_problem problem engine lambda c heuristic appver calls seconds
              trace_file progress stats no_cache registry domains introspect
-             flight_path lp_triage no_lp_warm ~model:model_name
+             flight_path lp_triage ~model:model_name
              ~instance:(Printf.sprintf "index%d_eps%.5g" index eps)
              ~context:(Printf.sprintf "model=%s index=%d eps=%.5f" model_name index eps)
              ~source_format:"synthetic"))
@@ -495,13 +493,6 @@ let lp_triage_arg =
                  window=N; bare $(b,--lp-triage) uses lb=0.5, depth=0, impr=0.1, \
                  window=32 (DESIGN.md \xC2\xA713).")
 
-let no_lp_warm_arg =
-  Arg.(value & flag
-       & info [ "no-lp-warm" ]
-           ~doc:"Disable warm-started LP reoptimization (basis cache, dual \
-                 simplex): every LP verifier call solves from scratch, \
-                 bit-for-bit the cold path.")
-
 let registry_arg =
   Arg.(value & opt ~vopt:(Some Registry.default_path) (some string) None
        & info [ "registry" ] ~docv:"FILE"
@@ -520,6 +511,6 @@ let cmd =
          $ lambda_arg $ c_arg $ heuristic_arg $ appver_arg $ calls_arg $ seconds_arg
          $ models_dir_arg $ trace_arg $ progress_arg $ stats_arg $ no_cache_arg
          $ registry_arg $ domains_arg $ introspect_arg $ flight_arg $ no_flight_arg
-         $ lp_triage_arg $ no_lp_warm_arg))
+         $ lp_triage_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -94,7 +94,7 @@ let minimise_row ~region ~maps ~coefs ~constant =
   let obj = ref [] in
   Array.iteri (fun j v -> if v <> 0.0 then obj := (v, inputs.(j)) :: !obj) coefs;
   Abonn_lp.Lp_problem.set_objective ~constant lp !obj;
-  match Abonn_lp.Lp_verifier.observed_solve lp with
+  match Abonn_lp.Lp_problem.solve lp with
   | Abonn_lp.Lp_problem.Optimal { objective; values } ->
     `Optimal (objective, Array.map values inputs)
   | Abonn_lp.Lp_problem.Infeasible -> `Infeasible

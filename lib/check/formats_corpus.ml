@@ -104,7 +104,9 @@ let entries () =
       (* the first Gemm node renamed to an op the reader does not know *)
       replace_first ~pattern:"\x22\x04Gemm" ~by:"\x22\x04Gelu" mlp_gemm );
     ("malformed/unbalanced.vnnlib", unbalanced_vnnlib);
-    ("malformed/unknown_op.vnnlib", unknown_op_vnnlib) ]
+    ("malformed/unknown_op.vnnlib", unknown_op_vnnlib);
+    ( "malformed/nonfinite.vnnlib",
+      replace_first ~pattern:"(<= X_0 0.5)" ~by:"(<= X_0 inf)" box_simple ) ]
 
 let read_file path =
   let ic = open_in_bin path in

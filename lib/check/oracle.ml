@@ -654,8 +654,8 @@ let run_incremental cfg rng problem =
    - dominance: the LP is never looser than DeepPoly on the same gamma
      (the tightness Lp_verifier documents);
 
-   then replay BFS with the LP AppVer warm-on vs warm-off: solved
-   verdicts must agree in polarity and every Falsified witness must
+   then replay BFS with the LP AppVer warm-on vs warm-off (no parent
+   states): solved verdicts must agree in polarity and every Falsified witness must
    validate. *)
 
 let run_lp cfg rng problem =
@@ -756,13 +756,14 @@ let run_lp cfg rng problem =
   match walk_verdict with
   | Fail _ as f -> f
   | Pass ->
-    (* warm-on vs warm-off engine agreement with the LP AppVer *)
+    (* warm-on vs warm-off engine agreement with the LP AppVer: off
+       passes no parent state *)
     let budget () = Budget.of_calls cfg.engine_budget in
-    let verdict_of () =
-      (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) problem).Result.verdict
+    let verdict_of appver =
+      (Bfs.verify ~appver ~budget:(budget ()) problem).Result.verdict
     in
-    let on = Lp_verifier.with_warm_enabled true verdict_of in
-    let off = Lp_verifier.with_warm_enabled false verdict_of in
+    let on = verdict_of Lp_verifier.appver in
+    let off = verdict_of { Lp_verifier.appver with warm = None } in
     let bogus v =
       match v with
       | Verdict.Falsified x -> not (Problem.is_counterexample problem x)

@@ -52,7 +52,7 @@
       pre-activation bounds from the parent), stay sound for the in-cell
       point, never declare its cell infeasible, and never be looser than
       DeepPoly on the same gamma; BFS with the LP AppVer must agree
-      warm-on vs warm-off up to ties.
+      warm-on vs warm-off (no parent states) up to ties.
 
     Oracles are deterministic in [(seed, problem)] and never raise: an
     escaped exception is itself reported as a failure. *)

@@ -1,20 +1,20 @@
-(** Dense simplex with bounded variables (Chvátal ch. 8).
+(** Dense simplex with bounded variables (Chvátal ch. 8) — the one LP
+    solver in the repository, standing in for the commercial solver
+    (Gurobi 9.1.2) the paper's experiments used (DESIGN.md §4).
 
     Solves   minimize c·x   subject to   A x {≤,=,≥} b,   l ≤ x ≤ u,
 
     keeping variable bounds *implicit*: non-basic variables sit at a
     finite bound instead of being forced to 0, and upper bounds never
-    become tableau rows.  For the verification LPs built by this
-    repository — a few dozen constraint rows over a few hundred
-    box-bounded variables — this is one to two orders of magnitude faster
-    than the textbook standard-form reduction in {!Simplex}, which must
-    add one row per finite upper bound.
+    become tableau rows.  The verification LPs built by this repository
+    are a few dozen constraint rows over a few hundred box-bounded
+    variables, so a standard-form reduction, which adds one row per
+    finite upper bound, would be one to two orders of magnitude slower.
 
-    Every variable needs at least one finite bound (no free variables);
-    [Lp_problem] falls back to {!Simplex} when that is violated.  Bland's
-    rule is used for entering/leaving selection, so the method terminates
-    on degenerate instances.  Feasibility is established by a bounded
-    phase-1 with one artificial per initially-violated row.
+    Every variable needs at least one finite bound (no free variables).
+    Bland's rule is used for entering/leaving selection, so the method
+    terminates on degenerate instances.  Feasibility is established by a
+    bounded phase-1 with one artificial per initially-violated row.
 
     Beyond the cold [solve], this module supports warm-started
     reoptimization (DESIGN.md §13): {!solve_session} keeps the final

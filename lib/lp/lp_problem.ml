@@ -1,10 +1,11 @@
-module Matrix = Abonn_tensor.Matrix
+module Obs = Abonn_obs.Obs
+module Ev = Abonn_obs.Event
 
 type var = int
 
 type sense = Le | Ge | Eq
 
-type var_decl = { lo : float; hi : float; name : string }
+type var_decl = { lo : float; hi : float }
 
 type row = { terms : (float * var) list; sense : sense; rhs : float }
 
@@ -26,17 +27,14 @@ type outcome =
 let create () =
   { vars = []; nvars = 0; rows = []; nrows = 0; objective = []; obj_constant = 0.0 }
 
-let add_var ?(lo = neg_infinity) ?(hi = infinity) ?name t =
-  if lo > hi then invalid_arg "Lp_problem.add_var: lo > hi";
-  let name = match name with Some n -> n | None -> Printf.sprintf "x%d" t.nvars in
-  t.vars <- { lo; hi; name } :: t.vars;
+let add_var ?(lo = neg_infinity) ?(hi = infinity) t =
+  if not (lo <= hi) then invalid_arg "Lp_problem.add_var: lo > hi";
+  if lo = neg_infinity && hi = infinity then
+    invalid_arg "Lp_problem.add_var: free variable (need one finite bound)";
+  t.vars <- { lo; hi } :: t.vars;
   let v = t.nvars in
   t.nvars <- t.nvars + 1;
   v
-
-let num_vars t = t.nvars
-
-let num_constraints t = t.nrows
 
 let check_var t v =
   if v < 0 || v >= t.nvars then invalid_arg "Lp_problem: unknown variable"
@@ -51,11 +49,9 @@ let set_objective ?(constant = 0.0) t terms =
   t.objective <- terms;
   t.obj_constant <- constant
 
-(* Fast path: when no variable is fully free, the bounded-variable
-   simplex solves the model directly — no bound rows, no splitting. *)
-let solve_boxed ?max_iters t decls =
-  let n = t.nvars in
-  let c = Array.make n 0.0 in
+let solve_boxlp ?max_iters t =
+  let decls = Array.of_list (List.rev t.vars) in
+  let c = Array.make t.nvars 0.0 in
   List.iter (fun (v, var) -> c.(var) <- c.(var) +. v) t.objective;
   let lo = Array.map (fun d -> d.lo) decls in
   let hi = Array.map (fun d -> d.hi) decls in
@@ -78,116 +74,25 @@ let solve_boxed ?max_iters t decls =
       { objective = sol.Boxlp.objective +. t.obj_constant;
         values = (fun v -> sol.Boxlp.x.(v)) }
 
-(* Standard-form encoding of one original variable: a list of
-   (std_index, coefficient) plus a constant offset, so that
-   x_orig = offset + Σ coef · x_std with every x_std ≥ 0. *)
-type encoding = { parts : (int * float) list; offset : float }
-
-let solve_standard ?max_iters t =
-  let decls = Array.of_list (List.rev t.vars) in
-  let next_std = ref 0 in
-  let fresh () =
-    let i = !next_std in
-    incr next_std;
-    i
-  in
-  let extra_rows = ref [] in
-  let encodings =
-    Array.map
-      (fun d ->
-        let finite v = Float.is_finite v in
-        match finite d.lo, finite d.hi with
-        | true, true ->
-          (* x = lo + x', 0 ≤ x' ≤ hi − lo; the upper bound becomes a row. *)
-          let s = fresh () in
-          extra_rows := ([ (1.0, s) ], Le, d.hi -. d.lo) :: !extra_rows;
-          { parts = [ (s, 1.0) ]; offset = d.lo }
-        | true, false ->
-          let s = fresh () in
-          { parts = [ (s, 1.0) ]; offset = d.lo }
-        | false, true ->
-          (* x = hi − x'. *)
-          let s = fresh () in
-          { parts = [ (s, -1.0) ]; offset = d.hi }
-        | false, false ->
-          let p = fresh () in
-          let n = fresh () in
-          { parts = [ (p, 1.0); (n, -1.0) ]; offset = 0.0 })
-      decls
-  in
-  (* Translate a term list over original vars into (std coefficient map,
-     constant contribution). *)
-  let translate terms =
-    let coefs = Hashtbl.create 16 in
-    let const = ref 0.0 in
-    List.iter
-      (fun (c, v) ->
-        let e = encodings.(v) in
-        const := !const +. (c *. e.offset);
-        List.iter
-          (fun (s, f) ->
-            let cur = Option.value ~default:0.0 (Hashtbl.find_opt coefs s) in
-            Hashtbl.replace coefs s (cur +. (c *. f)))
-          e.parts)
-      terms;
-    (coefs, !const)
-  in
-  (* Collect all rows: user rows (over encodings) + bound rows (already
-     over std vars). *)
-  let user_rows =
-    List.rev_map
-      (fun r ->
-        let coefs, const = translate r.terms in
-        (coefs, r.sense, r.rhs -. const))
-      t.rows
-  in
-  let bound_rows =
-    List.rev_map
-      (fun (terms, sense, rhs) ->
-        let coefs = Hashtbl.create 4 in
-        List.iter (fun (c, s) -> Hashtbl.replace coefs s c) terms;
-        (coefs, sense, rhs))
-      !extra_rows
-  in
-  let all_rows = user_rows @ bound_rows in
-  (* Slack/surplus variables for inequalities. *)
-  let slack_of_row =
-    List.map
-      (fun (_, sense, _) ->
-        match sense with
-        | Eq -> None
-        | Le -> Some (fresh (), 1.0)
-        | Ge -> Some (fresh (), -1.0))
-      all_rows
-  in
-  let n_std = !next_std in
-  let m = List.length all_rows in
-  let a = Matrix.zeros m n_std in
-  let b = Array.make m 0.0 in
-  List.iteri
-    (fun i ((coefs, _, rhs), slack) ->
-      Hashtbl.iter (fun s c -> Matrix.set a i s (Matrix.get a i s +. c)) coefs;
-      (match slack with Some (s, sign) -> Matrix.set a i s sign | None -> ());
-      b.(i) <- rhs)
-    (List.combine all_rows slack_of_row);
-  let c_std = Array.make n_std 0.0 in
-  let obj_coefs, obj_const = translate t.objective in
-  Hashtbl.iter (fun s c -> c_std.(s) <- c_std.(s) +. c) obj_coefs;
-  let sol = Simplex.solve ?max_iters ~c:c_std ~a ~b () in
-  match sol.Simplex.status with
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Pivot_limit -> Pivot_limit
-  | Simplex.Optimal ->
-    let value v =
-      let e = encodings.(v) in
-      List.fold_left (fun acc (s, f) -> acc +. (f *. sol.Simplex.x.(s))) e.offset e.parts
-    in
-    Optimal
-      { objective = sol.Simplex.objective +. obj_const +. t.obj_constant; values = value }
-
+(* Per-status counters, a span timer and one [lp_solved] event per
+   solve, all gated on [Obs.active]. *)
 let solve ?max_iters t =
-  let decls = Array.of_list (List.rev t.vars) in
-  let free d = d.lo = neg_infinity && d.hi = infinity in
-  if Array.exists free decls then solve_standard ?max_iters t
-  else solve_boxed ?max_iters t decls
+  if not (Obs.active ()) then solve_boxlp ?max_iters t
+  else begin
+    let t0 = Obs.now () in
+    let outcome = solve_boxlp ?max_iters t in
+    let elapsed = Obs.now () -. t0 in
+    let status =
+      match outcome with
+      | Optimal _ -> "optimal"
+      | Infeasible -> "infeasible"
+      | Unbounded -> "unbounded"
+      | Pivot_limit -> "pivot_limit"
+    in
+    Obs.incr "lp.solves";
+    Obs.incr ("lp.solve." ^ status);
+    Obs.span "lp.solve" elapsed;
+    if Obs.tracing () then
+      Obs.emit (Ev.Lp_solved { vars = t.nvars; rows = t.nrows; status; elapsed });
+    outcome
+  end

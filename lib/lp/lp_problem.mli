@@ -1,11 +1,11 @@
-(** General-form linear programs over bounded/free variables.
+(** General-form linear programs over bounded variables.
 
-    A thin modelling layer over [Simplex]: variables may carry arbitrary
-    (possibly infinite) bounds, constraints may be ≤ / ≥ / =, and the
-    objective is minimisation.  [solve] performs the classical reduction
-    to standard form (shifting lower bounds, splitting free variables,
-    adding slack/surplus variables, turning finite upper bounds into rows)
-    and maps the solution back to the original variables. *)
+    A thin modelling layer over {!Boxlp}: variables with bounds
+    (at least one of them finite), ≤ / ≥ / = constraints over repeated
+    terms, and a minimisation objective with a constant.  [solve] hands
+    the model to the bounded-variable simplex as is and maps the
+    solution back.  [Exact]'s leaf LPs are built here; the LP verifier
+    builds its rows for {!Boxlp} directly. *)
 
 type t
 type var
@@ -22,12 +22,10 @@ type outcome =
 
 val create : unit -> t
 
-val add_var : ?lo:float -> ?hi:float -> ?name:string -> t -> var
-(** Fresh variable with bounds [\[lo, hi\]] (defaults: free).  Raises
-    [Invalid_argument] if [lo > hi]. *)
-
-val num_vars : t -> int
-val num_constraints : t -> int
+val add_var : ?lo:float -> ?hi:float -> t -> var
+(** Fresh variable with bounds [\[lo, hi\]] (defaults: [-∞] and [+∞],
+    so at least one must be given).  Raises [Invalid_argument] if
+    [lo > hi], a bound is [nan], or both bounds are infinite. *)
 
 val add_constraint : t -> (float * var) list -> sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [Σ coef·x  sense  rhs].
@@ -38,5 +36,8 @@ val set_objective : ?constant:float -> t -> (float * var) list -> unit
     (pure feasibility). *)
 
 val solve : ?max_iters:int -> t -> outcome
-(** Solve by two-phase simplex.  The builder may be reused (and further
-    extended) after solving. *)
+(** Solve with {!Boxlp.solve}.  The builder may be reused (and further
+    extended) after solving.  Every solve reports the [lp.solves] and
+    [lp.solve.<status>] counters, the [lp.solve] span and one
+    [lp_solved] trace event; this costs one branch while observability
+    is off. *)

@@ -7,170 +7,8 @@ module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
 module Bounds = Abonn_prop.Bounds
 module Outcome = Abonn_prop.Outcome
-
-(* One neuron of the relaxation: a pre-activation variable constrained to
-   equal the affine image of the previous layer, and a post-activation
-   variable related to it according to the neuron's (split-clamped)
-   stability state. *)
-let encode_neuron lp ~prev ~w ~bias ~layer ~i ~lo ~hi ~state =
-  let z = Lp_problem.add_var ~lo ~hi ~name:(Printf.sprintf "z%d_%d" layer i) lp in
-  let terms = ref [ (1.0, z) ] in
-  for j = 0 to Array.length prev - 1 do
-    let wij = Matrix.get w i j in
-    if wij <> 0.0 then terms := (-.wij, prev.(j)) :: !terms
-  done;
-  Lp_problem.add_constraint lp !terms Lp_problem.Eq bias;
-  match state with
-  | Bounds.Stable_inactive ->
-    Lp_problem.add_var ~lo:0.0 ~hi:0.0 ~name:(Printf.sprintf "p%d_%d" layer i) lp
-  | Bounds.Stable_active ->
-    let p =
-      Lp_problem.add_var ~lo:(Float.max 0.0 lo) ~hi:(Float.max 0.0 hi)
-        ~name:(Printf.sprintf "p%d_%d" layer i) lp
-    in
-    Lp_problem.add_constraint lp [ (1.0, p); (-1.0, z) ] Lp_problem.Eq 0.0;
-    p
-  | Bounds.Unstable ->
-    let p =
-      Lp_problem.add_var ~lo:0.0 ~hi:(Float.max 0.0 hi)
-        ~name:(Printf.sprintf "p%d_%d" layer i) lp
-    in
-    (* p ≥ z, and the triangle's chord p ≤ s·(z − lo) with s = hi/(hi−lo). *)
-    Lp_problem.add_constraint lp [ (1.0, p); (-1.0, z) ] Lp_problem.Ge 0.0;
-    let s = hi /. (hi -. lo) in
-    Lp_problem.add_constraint lp [ (1.0, p); (-.s, z) ] Lp_problem.Le (-.s *. lo);
-    p
-
-(* Build the relaxation LP; returns the builder, the input variables and
-   the post-activation variables of the deepest hidden layer. *)
-let encode (problem : Problem.t) (pre_bounds : Bounds.t array) =
-  let affine = problem.Problem.affine in
-  let region = problem.Problem.region in
-  let lp = Lp_problem.create () in
-  let inputs =
-    Array.init Affine.(affine.input_dim) (fun j ->
-        Lp_problem.add_var ~lo:region.Region.lower.(j) ~hi:region.Region.upper.(j)
-          ~name:(Printf.sprintf "in%d" j) lp)
-  in
-  let encode_layer prev l =
-    let w = Affine.(affine.weights.(l)) and bias = Affine.(affine.biases.(l)) in
-    let b = pre_bounds.(l) in
-    Array.init w.Matrix.rows (fun i ->
-        encode_neuron lp ~prev ~w ~bias:bias.(i) ~layer:l ~i ~lo:b.Bounds.lower.(i)
-          ~hi:b.Bounds.upper.(i) ~state:(Bounds.relu_state_of b i))
-  in
-  let rec walk prev l =
-    if l >= Array.length pre_bounds then prev else walk (encode_layer prev l) (l + 1)
-  in
-  let last_post = walk inputs 0 in
-  (lp, inputs, last_post)
-
-(* [Lp_problem.solve] with observability: per-status counters, a span
-   timer and one [lp_solved] event per solve. *)
-let observed_solve lp =
-  if not (Obs.active ()) then Lp_problem.solve lp
-  else begin
-    let t0 = Obs.now () in
-    let outcome = Lp_problem.solve lp in
-    let elapsed = Obs.now () -. t0 in
-    let status =
-      match outcome with
-      | Lp_problem.Optimal _ -> "optimal"
-      | Lp_problem.Infeasible -> "infeasible"
-      | Lp_problem.Unbounded -> "unbounded"
-      | Lp_problem.Pivot_limit -> "pivot_limit"
-    in
-    Obs.incr "lp.solves";
-    Obs.incr ("lp.solve." ^ status);
-    Obs.span "lp.solve" elapsed;
-    if Obs.tracing () then
-      Obs.emit
-        (Ev.Lp_solved
-           { vars = Lp_problem.num_vars lp; rows = Lp_problem.num_constraints lp;
-             status; elapsed });
-    outcome
-  end
-
-let analyse (problem : Problem.t) gamma =
-  match Abonn_prop.Deeppoly.hidden_bounds problem gamma with
-  | None -> Outcome.vacuous ~pre_bounds:[||]
-  | Some pre_bounds ->
-    let affine = problem.Problem.affine in
-    let prop = problem.Problem.property in
-    let lp, inputs, last_post = encode problem pre_bounds in
-    let last = Affine.num_layers affine - 1 in
-    let w = Affine.(affine.weights.(last)) and bias = Affine.(affine.biases.(last)) in
-    let nrows = prop.Property.c.Matrix.rows in
-    let row_lower = Array.make nrows infinity in
-    let best_candidate = ref None in
-    let best_value = ref infinity in
-    for r = 0 to nrows - 1 do
-      (* Minimise (cᵀW)·x_last + cᵀb + d over the relaxation. *)
-      let crow = Matrix.row prop.Property.c r in
-      let coefs = Matrix.tmv w crow in
-      let constant = Abonn_tensor.Vector.dot crow bias +. prop.Property.d.(r) in
-      let terms = ref [] in
-      Array.iteri (fun j c -> if c <> 0.0 then terms := (c, last_post.(j)) :: !terms) coefs;
-      Lp_problem.set_objective ~constant lp !terms;
-      begin match observed_solve lp with
-      | Lp_problem.Optimal { objective; values } ->
-        row_lower.(r) <- objective;
-        if objective < !best_value then begin
-          best_value := objective;
-          best_candidate := Some (Array.map values inputs)
-        end
-      | Lp_problem.Infeasible ->
-        (* The relaxation admits no point at all, so the sub-problem is
-           vacuous for this (and every) row. *)
-        row_lower.(r) <- infinity
-      | Lp_problem.Unbounded ->
-        (* Cannot happen: every variable is bounded through the input box
-           and the relaxation constraints.  Stay sound regardless. *)
-        row_lower.(r) <- neg_infinity
-      | Lp_problem.Pivot_limit ->
-        (* Inconclusive solve: -∞ is the sound "no information" bound. *)
-        row_lower.(r) <- neg_infinity
-      end
-    done;
-    let phat = Array.fold_left Float.min infinity row_lower in
-    let candidate = if phat > 0.0 then None else !best_candidate in
-    Outcome.make ~phat ?candidate ~pre_bounds ~row_lower ()
-
-(* Whole-verifier instrumentation on top of the per-solve telemetry of
-   [observed_solve]. *)
-let run (problem : Problem.t) gamma =
-  if not (Obs.active ()) then analyse problem gamma
-  else begin
-    let t0 = Obs.now () in
-    let outcome = analyse problem gamma in
-    let elapsed = Obs.now () -. t0 in
-    Obs.incr "appver.lp.calls";
-    Obs.span "appver.lp" elapsed;
-    if Obs.tracing () then
-      Obs.emit
-        (Ev.Bound_computed
-           { appver = "lp"; depth = Abonn_spec.Split.depth gamma;
-             phat = outcome.Abonn_prop.Outcome.phat; elapsed });
-    outcome
-  end
-
-(* --- warm-started path (DESIGN.md §13) --- *)
-
 module Incremental = Abonn_prop.Incremental
 module Deeppoly = Abonn_prop.Deeppoly
-
-(* Process-global escape hatch (--no-lp-warm): when disabled, the warm
-   entry point is exactly [run] — bit-for-bit the cold path. *)
-let warm_flag = ref true
-
-let warm_enabled () = !warm_flag
-
-let set_warm_enabled v = warm_flag := v
-
-let with_warm_enabled v f =
-  let saved = !warm_flag in
-  warm_flag := v;
-  Fun.protect ~finally:(fun () -> warm_flag := saved) f
 
 (* Per-tree basis cache: content-addressed on (architecture fingerprint,
    input region, split sequence) — the same identity [Incremental.classify]
@@ -224,9 +62,9 @@ let clear_warm_cache () = with_lock (fun () -> Hashtbl.reset cache)
 
 let warm_cache_size () = with_lock (fun () -> Hashtbl.length cache)
 
-(* Canonical fixed-shape encoding for the warm path.  Unlike [encode],
-   whose rows depend on each neuron's stability state, every hidden
-   neuron always contributes the variables [z; p] and the three rows
+(* The triangle relaxation in a fixed shape.  Every hidden neuron
+   contributes the variables [z; p] (pre- and post-activation) and the
+   three rows
 
      z − W·prev = b   (Eq)
      p − z ≥ 0        (Ge)
@@ -234,10 +72,11 @@ let warm_cache_size () = with_lock (fun () -> Hashtbl.length cache)
 
    with (u_s, u_c) = the triangle chord for unstable neurons, (1, 0)
    for stably-active ones (p = z together with the Ge row) and (0, 0)
-   for stably-inactive ones (vacuous next to p ∈ [0, 0]).  Each state's
-   polytope is exactly the one [encode] builds, but the variable/row
-   layout is a function of the architecture alone — which is what lets
-   a parent basis be replayed against any child of the same tree. *)
+   for stably-inactive ones (vacuous next to p ∈ [0, 0]).  The
+   neuron's stability state only changes bounds and coefficients, so
+   the variable/row layout is a function of the architecture alone —
+   which is what lets a parent basis be replayed against any child of
+   the same tree. *)
 type canonical = {
   c_lo : float array;
   c_hi : float array;
@@ -305,20 +144,24 @@ let encode_canonical (problem : Problem.t) (pre_bounds : Bounds.t array) =
 
 type warm_stats = { hit : bool; pivots : int; fallback : string }
 
-(* Warm analysis.  Pre-activation bounds ride the DeepPoly incremental
-   machinery: an lp state's [pre_bounds] are exactly the dp-warm bounds
-   it was built from, so relabeling the state lets [Deeppoly.run_warm]
-   do its prefix sharing and monotone tightening unchanged.  The
-   parent's (LP-certified) [row_lower] stays sound under that reuse:
-   the child's feasible set is contained in the parent's, so any lower
-   bound certified for the parent also bounds the child. *)
-let analyse_warm ?state (problem : Problem.t) gamma =
+(* One LP call.  Pre-activation bounds ride the DeepPoly incremental
+   machinery: an lp state's [pre_bounds] are exactly the DeepPoly
+   bounds it was built from, so relabeling the state lets
+   [Deeppoly.analyse_warm] do its prefix sharing and monotone
+   tightening unchanged (and uninstrumented: the call is reported once,
+   as an lp call).  The parent's (LP-certified) [row_lower] stays sound
+   under that reuse: the child's feasible set is contained in the
+   parent's, so any lower bound certified for the parent also bounds
+   the child.  The first property row is re-solved from the parent's
+   cached basis when there is one, and solved from scratch otherwise;
+   every further row reoptimizes the same live tableau. *)
+let analyse ?state (problem : Problem.t) gamma =
   let dp_state =
     Option.map
       (fun st -> { st with Incremental.appver = "deeppoly" })
       state
   in
-  let dp_outcome, _ = Deeppoly.run_warm ?state:dp_state problem gamma in
+  let dp_outcome, _ = Deeppoly.analyse_warm ?state:dp_state problem gamma in
   let n_hidden = Affine.num_layers problem.Problem.affine - 1 in
   if
     dp_outcome.Outcome.infeasible
@@ -421,10 +264,9 @@ let analyse_warm ?state (problem : Problem.t) gamma =
         last_iters := sol.Boxlp.iterations;
         record sol constant r
       | None ->
-        (* row 0 left no live tableau (infeasible / unbounded / pivot
-           limit): mirror the cold path, which solves each row on its
-           own — infeasibility is a property of the polytope, so the
-           fresh solve re-derives the same verdict. *)
+        (* row 0 left no live tableau (infeasible or pivot limit): solve
+           this row on its own — infeasibility is a property of the
+           polytope, so the fresh solve re-derives the same verdict. *)
         cold_row r carr constant
     done;
     (match !session with
@@ -443,22 +285,22 @@ let analyse_warm ?state (problem : Problem.t) gamma =
     (outcome, state', { hit = !hit; pivots = !pivots; fallback = !fallback })
   end
 
-(* Warm entry point with [run]-parity instrumentation plus the
-   [lp.warm.*] counters and one [lp_warm] trace event per call.
+(* The LP call with its instrumentation: the [appver.lp] counter and
+   span, the [lp.warm.*] counters and one [bound_computed] plus one
+   [lp_warm] trace event per call.
    Fallback semantics of the [fallback] payload: [""] = parent basis
    replayed successfully; ["no-parent"] = nothing to replay (root node,
    incompatible state or cache miss); ["infeasible"] = the cheap bounds
    already closed the node; anything else = a replay was attempted and
    degraded to a cold solve (counted in [lp.warm.fallbacks]). *)
 let run_warm ?state (problem : Problem.t) gamma =
-  if not (warm_enabled ()) then (run problem gamma, None)
-  else if not (Obs.active ()) then begin
-    let outcome, state', _ = analyse_warm ?state problem gamma in
+  if not (Obs.active ()) then begin
+    let outcome, state', _ = analyse ?state problem gamma in
     (outcome, state')
   end
   else begin
     let t0 = Obs.now () in
-    let outcome, state', stats = analyse_warm ?state problem gamma in
+    let outcome, state', stats = analyse ?state problem gamma in
     let elapsed = Obs.now () -. t0 in
     Obs.incr "appver.lp.calls";
     Obs.span "appver.lp" elapsed;
@@ -482,5 +324,7 @@ let run_warm ?state (problem : Problem.t) gamma =
     end;
     (outcome, state')
   end
+
+let run problem gamma = fst (run_warm problem gamma)
 
 let appver = { Abonn_prop.Appver.name = "lp"; run; warm = Some run_warm }

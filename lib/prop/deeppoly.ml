@@ -339,55 +339,24 @@ let hidden_bounds ?(slope = Adaptive) problem gamma =
   | Ok (b, _, _) -> Some b
   | Error _ -> None
 
-(* Warm-started analysis: classify how much of [state] is reusable for
-   this node, alias the shared prefix, re-propagate the rest and return
-   the node's own state for its future children.  An incompatible or
-   absent state degenerates to the from-scratch path (plus building the
-   state).  Instrumentation mirrors [run] exactly — the same
-   [bound_computed] event and counters — so trace reconstruction is
-   unchanged; reuse additionally emits one [bound_reuse] event and the
-   [appver.cache.*] counters. *)
-let run_warm ?(slope = Adaptive) ?state (problem : Problem.t) gamma =
-  let name = slope_name slope in
-  let reuse =
-    match state with
-    | Some st -> Incremental.classify st ~appver:name ~problem ~gamma
-    | None -> Incremental.Incompatible
-  in
-  let parent, from_layer =
-    match reuse with
-    | Incremental.Prefix l -> (state, l)
-    | Incremental.Tighten -> (state, 0)
-    | Incremental.Incompatible -> (None, 0)
-  in
-  let clamps = ref 0 in
-  let compute () = analyse_core ?parent ~from_layer ~clamps slope problem gamma in
+(* How much of [state] is reusable for this node. *)
+let reuse_of name state problem gamma =
+  match state with
+  | Some st -> Incremental.classify st ~appver:name ~problem ~gamma
+  | None -> Incremental.Incompatible
+
+(* Warm-started analysis: alias the prefix [reuse] shares, re-propagate
+   the rest and return the node's own state for its future children.
+   An incompatible or absent state degenerates to the from-scratch path
+   (plus building the state).  [clamps] counts the values the parent's
+   bounds tightened. *)
+let warm_core ~clamps name slope state reuse (problem : Problem.t) gamma =
   let outcome =
-    if not (Obs.active ()) then compute ()
-    else begin
-      let t0 = Obs.now () in
-      let outcome = compute () in
-      let elapsed = Obs.now () -. t0 in
-      Obs.incr (Printf.sprintf "appver.%s.calls" name);
-      Obs.span ("appver." ^ name) elapsed;
-      if parent <> None then begin
-        Obs.incr "appver.cache.prefix_hits";
-        Obs.incr ~by:from_layer "appver.cache.layers_skipped";
-        Obs.incr ~by:!clamps "appver.cache.tighten_clamps"
-      end;
-      if Obs.tracing () then begin
-        Obs.emit
-          (Ev.Bound_computed
-             { appver = name; depth = Split.depth gamma;
-               phat = outcome.Outcome.phat; elapsed });
-        if parent <> None then
-          Obs.emit
-            (Ev.Bound_reuse
-               { appver = name; depth = Split.depth gamma; from_layer;
-                 layers_skipped = from_layer; clamps = !clamps })
-      end;
-      outcome
-    end
+    match reuse with
+    | Incremental.Prefix from_layer ->
+      analyse_core ?parent:state ~from_layer ~clamps slope problem gamma
+    | Incremental.Tighten -> analyse_core ?parent:state ~clamps slope problem gamma
+    | Incremental.Incompatible -> analyse_core ~clamps slope problem gamma
   in
   let n_hidden = Affine.num_layers problem.Problem.affine - 1 in
   let state' =
@@ -401,3 +370,50 @@ let run_warm ?(slope = Adaptive) ?state (problem : Problem.t) gamma =
            ~row_lower:outcome.Outcome.row_lower)
   in
   (outcome, state')
+
+let analyse_warm ?(slope = Adaptive) ?state problem gamma =
+  let name = slope_name slope in
+  warm_core ~clamps:(ref 0) name slope state (reuse_of name state problem gamma)
+    problem gamma
+
+(* [analyse_warm] with instrumentation mirroring [run] exactly — the
+   same [bound_computed] event and counters — so trace reconstruction
+   is unchanged; reuse additionally emits one [bound_reuse] event and
+   the [appver.cache.*] counters. *)
+let run_warm ?(slope = Adaptive) ?state problem gamma =
+  let name = slope_name slope in
+  let reuse = reuse_of name state problem gamma in
+  let clamps = ref 0 in
+  if not (Obs.active ()) then warm_core ~clamps name slope state reuse problem gamma
+  else begin
+    let t0 = Obs.now () in
+    let ((outcome, _) as result) =
+      warm_core ~clamps name slope state reuse problem gamma
+    in
+    let elapsed = Obs.now () -. t0 in
+    Obs.incr (Printf.sprintf "appver.%s.calls" name);
+    Obs.span ("appver." ^ name) elapsed;
+    let reused, from_layer =
+      match reuse with
+      | Incremental.Prefix l -> (true, l)
+      | Incremental.Tighten -> (true, 0)
+      | Incremental.Incompatible -> (false, 0)
+    in
+    if reused then begin
+      Obs.incr "appver.cache.prefix_hits";
+      Obs.incr ~by:from_layer "appver.cache.layers_skipped";
+      Obs.incr ~by:!clamps "appver.cache.tighten_clamps"
+    end;
+    if Obs.tracing () then begin
+      Obs.emit
+        (Ev.Bound_computed
+           { appver = name; depth = Split.depth gamma;
+             phat = outcome.Outcome.phat; elapsed });
+      if reused then
+        Obs.emit
+          (Ev.Bound_reuse
+             { appver = name; depth = Split.depth gamma; from_layer;
+               layers_skipped = from_layer; clamps = !clamps })
+    end;
+    result
+  end

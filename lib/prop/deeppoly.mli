@@ -56,4 +56,17 @@ val run_warm :
     plus the construction of a fresh state.  Returns the node's own
     state for its children; [None] when the sub-problem was infeasible.
     Does not consult {!Incremental.enabled} — gating the cache is the
-    caller's ([Appver.run_warm]'s) job. *)
+    caller's ([Appver.run_warm]'s) job.  Instrumented like [run]: one
+    [bound_computed] event and the [appver.<name>] counter and span per
+    call, plus one [bound_reuse] event and the [appver.cache.*] counters
+    when the state was reused. *)
+
+val analyse_warm :
+  ?slope:slope ->
+  ?state:Incremental.t ->
+  Abonn_spec.Problem.t ->
+  Abonn_spec.Split.gamma ->
+  Outcome.t * Incremental.t option
+(** [run_warm] without instrumentation: the same analysis and state, no
+    counters, spans or events.  For verifiers that build on DeepPoly's
+    bounds and report the call as their own. *)

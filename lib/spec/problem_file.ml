@@ -19,16 +19,26 @@ let to_string (problem : Problem.t) ~network_ref =
   done;
   Buffer.contents buf
 
+(* A directive kept until the whole file is read: its name, position
+   and value words (with their columns), so checks that need the
+   network (shapes, empty boxes) still report the offending line. *)
+type 'a directive = {
+  name : string;
+  line : int;
+  col : int;
+  words : (string * int) list;
+  v : 'a;
+}
+
 type partial = {
-  mutable network : string option;
-  mutable network_pos : int * int * string;  (* line, col, token of the directive *)
-  mutable lower : float array option;
-  mutable upper : float array option;
-  mutable center : float array option;
+  mutable network : string directive option;
+  mutable lower : float array directive option;
+  mutable upper : float array directive option;
+  mutable center : float array directive option;
   mutable eps : float option;
   mutable clip : (float * float) option;
-  mutable robustness : (int * int) option;
-  mutable constraints : (float * float array) list;  (* reversed *)
+  mutable robustness : (int * int) directive option;
+  mutable constraints : (float * float array) directive list;  (* reversed *)
 }
 
 (* Words of [line] with their 1-based starting columns. *)
@@ -52,7 +62,8 @@ let of_string ?(dir = ".") ?(source = "<string>") text =
   in
   let float_of ~line (w, col) =
     match float_of_string_opt w with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> err ~line ~col ~token:w "expected a finite number"
     | None -> err ~line ~col ~token:w "expected a float"
   in
   let int_of ~line (w, col) =
@@ -61,9 +72,11 @@ let of_string ?(dir = ".") ?(source = "<string>") text =
     | None -> err ~line ~col ~token:w "expected an integer"
   in
   let floats_of ~line ws = Array.of_list (List.map (float_of ~line) ws) in
+  let directive (name, col) ~line words v = { name; line; col; words; v } in
+  let vector d ~line ws = Some (directive d ~line ws (floats_of ~line ws)) in
   let p =
-    { network = None; network_pos = (0, 0, ""); lower = None; upper = None;
-      center = None; eps = None; clip = None; robustness = None; constraints = [] }
+    { network = None; lower = None; upper = None; center = None; eps = None;
+      clip = None; robustness = None; constraints = [] }
   in
   let raw_lines = String.split_on_char '\n' text in
   let seen_header = ref false in
@@ -82,25 +95,32 @@ let of_string ?(dir = ".") ?(source = "<string>") text =
         end
         else begin
           match ws with
-          | (("network", col) as _d) :: rest -> (
+          | (("network", col) as d) :: rest -> (
             match rest with
-            | [ (path, _) ] ->
-              p.network <- Some path;
-              p.network_pos <- (line, col, path)
+            | [ (path, _) ] -> p.network <- Some (directive d ~line rest path)
             | _ -> err ~line ~col ~token:"network" "network takes exactly one path")
-          | ("box-lower", _) :: rest -> p.lower <- Some (floats_of ~line rest)
-          | ("box-upper", _) :: rest -> p.upper <- Some (floats_of ~line rest)
-          | ("center", _) :: rest -> p.center <- Some (floats_of ~line rest)
-          | [ ("eps", _); v ] -> p.eps <- Some (float_of ~line v)
-          | [ ("clip", _); a; b ] ->
-            p.clip <- Some (float_of ~line a, float_of ~line b)
-          | [ ("robustness", _); classes; label ] ->
-            p.robustness <- Some (int_of ~line classes, int_of ~line label)
-          | ("constraint", col) :: rest -> (
+          | (("box-lower", _) as d) :: rest -> p.lower <- vector d ~line rest
+          | (("box-upper", _) as d) :: rest -> p.upper <- vector d ~line rest
+          | (("center", _) as d) :: rest -> p.center <- vector d ~line rest
+          | [ ("eps", _); ((w, col) as v) ] ->
+            let eps = float_of ~line v in
+            if eps < 0.0 then err ~line ~col ~token:w "eps must be non-negative";
+            p.eps <- Some eps
+          | [ ("clip", col); a; b ] ->
+            let lo = float_of ~line a and hi = float_of ~line b in
+            if lo > hi then err ~line ~col ~token:"clip" "clip range is empty";
+            p.clip <- Some (lo, hi)
+          | [ (("robustness", _) as d); classes; label ] ->
+            p.robustness <-
+              Some
+                (directive d ~line [ classes; label ]
+                   (int_of ~line classes, int_of ~line label))
+          | (("constraint", col) as d) :: rest -> (
             match rest with
             | offset :: coefs when coefs <> [] ->
               p.constraints <-
-                (float_of ~line offset, floats_of ~line coefs) :: p.constraints
+                directive d ~line rest (float_of ~line offset, floats_of ~line coefs)
+                :: p.constraints
             | _ ->
               err ~line ~col ~token:"constraint"
                 "constraint takes an offset followed by coefficients")
@@ -116,39 +136,80 @@ let of_string ?(dir = ".") ?(source = "<string>") text =
     raw_lines;
   if not !seen_header then
     err ~line:1 ~col:1 ~token:"" "missing 'abonn-problem 1' header";
-  let network_path =
+  let network_dir =
     match p.network with
-    | Some path -> if Filename.is_relative path then Filename.concat dir path else path
+    | Some d -> d
     | None -> err ~line:1 ~col:1 ~token:"" "missing network directive"
+  in
+  let network_path =
+    let path = network_dir.v in
+    if Filename.is_relative path then Filename.concat dir path else path
   in
   let network =
     match Abonn_nn.Serialize.load network_path with
     | net -> net
     | exception (Failure msg | Sys_error msg) ->
-      let line, col, token = p.network_pos in
-      err ~line ~col ~token "cannot load network: %s" msg
+      err ~line:network_dir.line ~col:network_dir.col ~token:network_dir.v
+        "cannot load network: %s" msg
+  in
+  let at d fmt = err ~line:d.line ~col:d.col ~token:d.name fmt in
+  (* the [i]-th value word of a directive *)
+  let at_value d i fmt =
+    let w, col = List.nth d.words i in
+    err ~line:d.line ~col ~token:w fmt
+  in
+  let n_in = Abonn_nn.Network.input_dim network in
+  let n_out = Abonn_nn.Network.output_dim network in
+  let check_inputs d =
+    let k = Array.length d.v in
+    if k <> n_in then at d "%s has %d values, the network has %d inputs" d.name k n_in
   in
   let region =
     match p.lower, p.upper, p.center, p.eps with
-    | Some lower, Some upper, None, None -> Region.create ~lower ~upper
-    | None, None, Some center, Some eps -> Region.linf_ball ?clip:p.clip ~center ~eps ()
+    | Some lower, Some upper, None, None ->
+      check_inputs lower;
+      check_inputs upper;
+      Array.iteri
+        (fun i lo ->
+          if lo > upper.v.(i) then
+            at_value lower i "empty box: box-lower exceeds box-upper %s at input %d"
+              (fst (List.nth upper.words i)) i)
+        lower.v;
+      Region.create ~lower:lower.v ~upper:upper.v
+    | None, None, Some center, Some eps ->
+      check_inputs center;
+      Option.iter
+        (fun (lo, hi) ->
+          Array.iteri
+            (fun i c ->
+              if c +. eps < lo || c -. eps > hi then
+                at_value center i "empty box: center is more than eps outside clip")
+            center.v)
+        p.clip;
+      Region.linf_ball ?clip:p.clip ~center:center.v ~eps ()
     | _ ->
       err ~line:1 ~col:1 ~token:""
         "give either box-lower/box-upper or center/eps (not a mixture)"
   in
   let property =
     match p.robustness, List.rev p.constraints with
-    | Some (num_classes, label), [] -> Property.robustness ~num_classes ~label
+    | Some r, [] ->
+      let num_classes, label = r.v in
+      if num_classes <> n_out || num_classes < 2 then
+        at r "robustness names %d classes, the network has %d outputs (need >= 2)"
+          num_classes n_out;
+      if label < 0 || label >= num_classes then at_value r 1 "label out of range";
+      Property.robustness ~num_classes ~label
     | None, ((_ :: _) as rows) ->
-      let ncols = Array.length (snd (List.hd rows)) in
       List.iter
-        (fun (_, coefs) ->
-          if Array.length coefs <> ncols then
-            err ~line:1 ~col:1 ~token:"constraint" "constraint rows of unequal width")
+        (fun d ->
+          let k = Array.length (snd d.v) in
+          if k <> n_out then
+            at d "constraint has %d coefficients, the network has %d outputs" k n_out)
         rows;
-      let c = Matrix.init (List.length rows) ncols (fun i j -> snd (List.nth rows i) |> fun a -> a.(j)) in
-      let d = Array.of_list (List.map fst rows) in
-      Property.create ~description:"from problem file" c d
+      let rows = Array.of_list (List.map (fun d -> d.v) rows) in
+      let c = Matrix.init (Array.length rows) n_out (fun i j -> (snd rows.(i)).(j)) in
+      Property.create ~description:"from problem file" c (Array.map fst rows)
     | Some _, _ :: _ ->
       err ~line:1 ~col:1 ~token:"" "robustness and constraint are exclusive"
     | None, [] -> err ~line:1 ~col:1 ~token:"" "missing property"

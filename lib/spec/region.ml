@@ -4,7 +4,10 @@ let create ~lower ~upper =
   if Array.length lower <> Array.length upper then
     invalid_arg "Region.create: dimension mismatch";
   Array.iteri
-    (fun i lo -> if lo > upper.(i) then invalid_arg "Region.create: lower > upper")
+    (fun i lo ->
+      if not (Float.is_finite lo && Float.is_finite upper.(i)) then
+        invalid_arg "Region.create: non-finite bound";
+      if lo > upper.(i) then invalid_arg "Region.create: lower > upper")
     lower;
   { lower = Array.copy lower; upper = Array.copy upper }
 

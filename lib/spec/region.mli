@@ -9,12 +9,14 @@ type t = private {
 }
 
 val create : lower:float array -> upper:float array -> t
-(** Raises [Invalid_argument] if lengths differ or some [lower > upper]. *)
+(** Raises [Invalid_argument] if lengths differ, some bound is infinite
+    or [nan], or some [lower > upper]. *)
 
 val linf_ball : ?clip:(float * float) -> center:float array -> eps:float -> unit -> t
 (** [linf_ball ~center ~eps ()] is the ball
     [{x : ‖x − center‖∞ ≤ eps}], optionally intersected with
-    [\[fst clip, snd clip\]] per coordinate (e.g. [(0., 1.)] for pixels). *)
+    [\[fst clip, snd clip\]] per coordinate (e.g. [(0., 1.)] for pixels).
+    Raises [Invalid_argument] like {!create}, or if [eps < 0]. *)
 
 val dim : t -> int
 val center : t -> float array

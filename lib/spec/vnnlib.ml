@@ -140,7 +140,8 @@ let parse ?(source = "<string>") text =
   let rec lin_of = function
     | Atom (word, loc) -> (
       match float_of_string_opt word with
-      | Some k -> lin_const k
+      | Some k when Float.is_finite k -> lin_const k
+      | Some _ -> err loc word "expected a finite number"
       | None -> (
         match var_of word with
         | Some (`X i) ->
@@ -196,6 +197,8 @@ let parse ?(source = "<string>") text =
     | [ (i, coeff) ], [] ->
       (* coeff·X_i + k <= 0 *)
       let bound = -.diff.k /. coeff in
+      if not (Float.is_finite bound) then
+        err loc (match op with `Le -> "<=" | `Ge -> ">=") "input bound is not finite";
       if coeff > 0.0 then Bound (i, `Le, bound, loc) else Bound (i, `Ge, bound, loc)
     | _ :: _ :: _, [] ->
       err loc

@@ -10,9 +10,9 @@
     span-bearing event is emitted at the {e end} of its span, so its
     window is [[t - elapsed, t]]):
 
-    - LP solves made {e inside} an AppVer computation (the [lp] AppVer
-      adapter, exact-leaf resolutions are outside) are already part of
-      the AppVer phase and are not double-charged;
+    - LP solves made {e inside} an AppVer computation (cold [lp] AppVer
+      calls in older traces; exact-leaf resolutions are outside) are
+      already part of the AppVer phase and are not double-charged;
     - [best-effort] attack events include their sub-attacks; nested
       attack events are excluded from the attack phase total. *)
 
@@ -22,7 +22,7 @@ type t = {
   wall : float;  (** engine wall seconds (verdict_reached, else t-span) *)
   appver : (string * span) list;  (** per AppVer name, sorted *)
   appver_total : span;
-  lp : span;  (** every simplex solve *)
+  lp : span;  (** every [lp_solved] event *)
   lp_in_appver : float;  (** seconds of LP solves inside AppVer windows *)
   attack : (string * span) list;  (** per attack name, sorted *)
   attack_total : span;  (** top-level attack time (nested removed) *)

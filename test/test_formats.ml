@@ -308,6 +308,12 @@ let test_malformed_vnnlib () =
   in
   Alcotest.(check string) "unknown op token" "pow" e.Parse_error.token;
   Alcotest.(check bool) "line 5" true (fst (line_pos e) = 5);
+  let e =
+    expect_parse_error ~what:"nonfinite.vnnlib" (fun () ->
+        Vnnlib.load (malformed "nonfinite.vnnlib"))
+  in
+  Alcotest.(check string) "non-finite token" "inf" e.Parse_error.token;
+  Alcotest.(check (pair int int)) "non-finite at 7:17" (7, 17) (line_pos e);
   (* inline malformations *)
   let cases =
     [ ("missing bound", "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (<= X_0 1.0))\n(assert (<= Y_0 0.0))\n");

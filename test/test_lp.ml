@@ -1,6 +1,7 @@
 (* Tests for Abonn_lp: textbook simplex instances (optimal / infeasible /
-   unbounded / degenerate), the general-form modelling layer, and the LP
-   relaxation verifier cross-checked against DeepPoly and sampling. *)
+   unbounded / degenerate), the general-form modelling layer, the LP
+   relaxation verifier cross-checked against DeepPoly and sampling, and
+   the bounded-variable simplex against vertex enumeration. *)
 
 module Matrix = Abonn_tensor.Matrix
 module Rng = Abonn_util.Rng
@@ -13,74 +14,78 @@ module Affine = Abonn_nn.Affine
 module Builder = Abonn_nn.Builder
 module Outcome = Abonn_prop.Outcome
 module Deeppoly = Abonn_prop.Deeppoly
-module Simplex = Abonn_lp.Simplex
 module Lp = Abonn_lp.Lp_problem
 module Lp_verifier = Abonn_lp.Lp_verifier
 
 let check_float tol = Alcotest.(check (float tol))
 
-(* --- Simplex on standard-form instances --- *)
+(* --- Textbook simplex instances, in standard form --- *)
+
+(* [min c·x] subject to [A x = b], [x ≥ 0], built with the modelling
+   layer (the solver sees [0, +∞) boxes). *)
+let standard_form ~c ~a ~b =
+  let lp = Lp.create () in
+  let x = Array.map (fun _ -> Lp.add_var ~lo:0.0 lp) c in
+  let terms coefs = Array.to_list (Array.mapi (fun j v -> (v, x.(j))) coefs) in
+  Array.iteri (fun i row -> Lp.add_constraint lp (terms row) Lp.Eq b.(i)) a;
+  Lp.set_objective lp (terms c);
+  (lp, x)
+
+let optimum = function
+  | Lp.Optimal { objective; values } -> (objective, values)
+  | Lp.Infeasible | Lp.Unbounded | Lp.Pivot_limit -> Alcotest.fail "expected optimum"
 
 let test_simplex_basic () =
   (* min -x1 - 2 x2  s.t.  x1 + x2 + s1 = 4;  x1 + 3 x2 + s2 = 6; all >= 0.
      Optimum at x1 = 3, x2 = 1: objective -5. *)
-  let a = Matrix.of_rows [| [| 1.0; 1.0; 1.0; 0.0 |]; [| 1.0; 3.0; 0.0; 1.0 |] |] in
-  let sol = Simplex.solve ~c:[| -1.0; -2.0; 0.0; 0.0 |] ~a ~b:[| 4.0; 6.0 |] () in
-  Alcotest.(check bool) "optimal" true (sol.Simplex.status = Simplex.Optimal);
-  check_float 1e-9 "objective" (-5.0) sol.Simplex.objective;
-  check_float 1e-9 "x1" 3.0 sol.Simplex.x.(0);
-  check_float 1e-9 "x2" 1.0 sol.Simplex.x.(1)
+  let lp, x =
+    standard_form ~c:[| -1.0; -2.0; 0.0; 0.0 |]
+      ~a:[| [| 1.0; 1.0; 1.0; 0.0 |]; [| 1.0; 3.0; 0.0; 1.0 |] |] ~b:[| 4.0; 6.0 |]
+  in
+  let objective, values = optimum (Lp.solve lp) in
+  check_float 1e-9 "objective" (-5.0) objective;
+  check_float 1e-9 "x1" 3.0 (values x.(0));
+  check_float 1e-9 "x2" 1.0 (values x.(1))
 
 let test_simplex_infeasible () =
   (* x1 = 1 and x1 = 2 simultaneously. *)
-  let a = Matrix.of_rows [| [| 1.0 |]; [| 1.0 |] |] in
-  let sol = Simplex.solve ~c:[| 0.0 |] ~a ~b:[| 1.0; 2.0 |] () in
-  Alcotest.(check bool) "infeasible" true (sol.Simplex.status = Simplex.Infeasible)
+  let lp, _ = standard_form ~c:[| 0.0 |] ~a:[| [| 1.0 |]; [| 1.0 |] |] ~b:[| 1.0; 2.0 |] in
+  Alcotest.(check bool) "infeasible" true (Lp.solve lp = Lp.Infeasible)
 
 let test_simplex_unbounded () =
   (* min -x1  s.t.  x1 - x2 = 0: both can grow without bound. *)
-  let a = Matrix.of_rows [| [| 1.0; -1.0 |] |] in
-  let sol = Simplex.solve ~c:[| -1.0; 0.0 |] ~a ~b:[| 0.0 |] () in
-  Alcotest.(check bool) "unbounded" true (sol.Simplex.status = Simplex.Unbounded)
+  let lp, _ = standard_form ~c:[| -1.0; 0.0 |] ~a:[| [| 1.0; -1.0 |] |] ~b:[| 0.0 |] in
+  Alcotest.(check bool) "unbounded" true (Lp.solve lp = Lp.Unbounded)
 
 let test_simplex_negative_rhs () =
-  (* Row with negative b must be flipped internally:
-     -x1 - x2 = -3  ⇔  x1 + x2 = 3.  Maximising x1 drives it to 3. *)
-  let a = Matrix.of_rows [| [| -1.0; -1.0 |] |] in
-  let sol = Simplex.solve ~c:[| -1.0; 0.0 |] ~a ~b:[| -3.0 |] () in
-  Alcotest.(check bool) "optimal" true (sol.Simplex.status = Simplex.Optimal);
-  check_float 1e-9 "x1 = 3" 3.0 sol.Simplex.x.(0);
-  check_float 1e-9 "objective" (-3.0) sol.Simplex.objective
+  (* -x1 - x2 = -3  ⇔  x1 + x2 = 3.  Maximising x1 drives it to 3. *)
+  let lp, x = standard_form ~c:[| -1.0; 0.0 |] ~a:[| [| -1.0; -1.0 |] |] ~b:[| -3.0 |] in
+  let objective, values = optimum (Lp.solve lp) in
+  check_float 1e-9 "x1 = 3" 3.0 (values x.(0));
+  check_float 1e-9 "objective" (-3.0) objective
 
 let test_simplex_redundant_rows () =
   (* Duplicate constraint leaves a zero-valued artificial in the basis. *)
-  let a = Matrix.of_rows [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let sol = Simplex.solve ~c:[| 1.0; 1.0 |] ~a ~b:[| 2.0; 2.0 |] () in
-  Alcotest.(check bool) "optimal" true (sol.Simplex.status = Simplex.Optimal);
-  check_float 1e-9 "objective" 2.0 sol.Simplex.objective
+  let lp, _ =
+    standard_form ~c:[| 1.0; 1.0 |] ~a:[| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] ~b:[| 2.0; 2.0 |]
+  in
+  check_float 1e-9 "objective" 2.0 (fst (optimum (Lp.solve lp)))
 
 let test_simplex_degenerate_terminates () =
-  (* Classic degenerate instance; Bland's rule must terminate. *)
-  let a =
-    Matrix.of_rows
-      [| [| 0.5; -5.5; -2.5; 9.0; 1.0; 0.0; 0.0 |];
-         [| 0.5; -1.5; -0.5; 1.0; 0.0; 1.0; 0.0 |];
-         [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0; 1.0 |]
-      |]
+  (* Beale's degenerate instance: Bland's rule must terminate, and a
+     starved pivot budget must surface as [Pivot_limit], never an
+     exception. *)
+  let lp, _ =
+    standard_form ~c:[| -10.0; 57.0; 9.0; 24.0; 0.0; 0.0; 0.0 |]
+      ~a:
+        [| [| 0.5; -5.5; -2.5; 9.0; 1.0; 0.0; 0.0 |];
+           [| 0.5; -1.5; -0.5; 1.0; 0.0; 1.0; 0.0 |];
+           [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0; 1.0 |]
+        |]
+      ~b:[| 0.0; 0.0; 1.0 |]
   in
-  let c = [| -10.0; 57.0; 9.0; 24.0; 0.0; 0.0; 0.0 |] in
-  let sol = Simplex.solve ~c ~a ~b:[| 0.0; 0.0; 1.0 |] () in
-  Alcotest.(check bool) "optimal" true (sol.Simplex.status = Simplex.Optimal);
-  check_float 1e-6 "objective" (-1.0) sol.Simplex.objective
-
-let test_simplex_dimension_checks () =
-  let a = Matrix.of_rows [| [| 1.0 |] |] in
-  Alcotest.(check bool) "bad b" true
-    (try ignore (Simplex.solve ~c:[| 0.0 |] ~a ~b:[| 1.0; 2.0 |] ()); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad c" true
-    (try ignore (Simplex.solve ~c:[| 0.0; 1.0 |] ~a ~b:[| 1.0 |] ()); false
-     with Invalid_argument _ -> true)
+  check_float 1e-6 "objective" (-1.0) (fst (optimum (Lp.solve lp)));
+  Alcotest.(check bool) "pivot limit" true (Lp.solve ~max_iters:1 lp = Lp.Pivot_limit)
 
 (* --- Lp_problem modelling layer --- *)
 
@@ -109,16 +114,12 @@ let test_lp_maximize_via_negation () =
    | Lp.Infeasible | Lp.Unbounded | Lp.Pivot_limit -> Alcotest.fail "expected optimum")
 
 let test_lp_free_variable () =
-  (* Free variable pinned by an equality: x free, x = -7. *)
+  (* add_var rejects a variable with no finite bound *)
   let lp = Lp.create () in
-  let x = Lp.add_var lp in
-  Lp.add_constraint lp [ (1.0, x) ] Lp.Eq (-7.0);
-  Lp.set_objective lp [ (1.0, x) ];
-  (match Lp.solve lp with
-   | Lp.Optimal { objective; values } ->
-     check_float 1e-9 "objective" (-7.0) objective;
-     check_float 1e-9 "x" (-7.0) (values x)
-   | Lp.Infeasible | Lp.Unbounded | Lp.Pivot_limit -> Alcotest.fail "expected optimum")
+  Alcotest.(check bool) "raises" true
+    (try ignore (Lp.add_var lp); false with Invalid_argument _ -> true);
+  Alcotest.(check bool) "nan bound raises" true
+    (try ignore (Lp.add_var ~lo:nan ~hi:1.0 lp); false with Invalid_argument _ -> true)
 
 let test_lp_upper_bounded_only () =
   (* x ≤ 2 (no lower bound), minimise -x: optimum at 2. *)
@@ -321,8 +322,7 @@ let suite =
         Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
         Alcotest.test_case "negative rhs" `Quick test_simplex_negative_rhs;
         Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows;
-        Alcotest.test_case "degenerate terminates" `Quick test_simplex_degenerate_terminates;
-        Alcotest.test_case "dimension checks" `Quick test_simplex_dimension_checks
+        Alcotest.test_case "degenerate terminates" `Quick test_simplex_degenerate_terminates
       ] );
     ( "lp.problem",
       [ Alcotest.test_case "bounded box" `Quick test_lp_bounded_box;
@@ -403,10 +403,84 @@ let test_boxlp_pinned_variable () =
   Alcotest.(check bool) "optimal" true (sol.Boxlp.status = Boxlp.Optimal);
   check_float 1e-9 "x1 limited" 0.5 sol.Boxlp.x.(1)
 
-(* Differential property: Boxlp agrees with the standard-form reduction
-   on random bounded LPs (statuses and optima). *)
-let prop_boxlp_matches_standard =
-  QCheck.Test.make ~name:"boxlp matches standard simplex" ~count:200
+(* Brute-force reference for boxed LPs.  The feasible set is a bounded
+   polytope, so a minimum, when there is one, sits at a vertex, and every
+   vertex solves n linearly independent active constraints (rows at
+   equality or box faces).  Enumerate every n-subset of those
+   hyperplanes, solve the n×n system and keep the best feasible point.
+   [None] means infeasible. *)
+let solve_square planes =
+  let m = Array.of_list (List.map (fun (a, b) -> Array.append a [| b |]) planes) in
+  let n = Array.length m in
+  try
+    for col = 0 to n - 1 do
+      let piv = ref col in
+      for i = col + 1 to n - 1 do
+        if Float.abs m.(i).(col) > Float.abs m.(!piv).(col) then piv := i
+      done;
+      if Float.abs m.(!piv).(col) < 1e-9 then raise Exit;
+      let t = m.(col) in
+      m.(col) <- m.(!piv);
+      m.(!piv) <- t;
+      for i = 0 to n - 1 do
+        let f = m.(i).(col) /. m.(col).(col) in
+        if i <> col && f <> 0.0 then
+          for j = col to n do
+            m.(i).(j) <- m.(i).(j) -. (f *. m.(col).(j))
+          done
+      done
+    done;
+    Some (Array.init n (fun i -> m.(i).(n) /. m.(i).(i)))
+  with Exit -> None
+
+let vertex_minimum ~c ~lo ~hi ~(rows : Boxlp.row list) =
+  let n = Array.length c in
+  let dot a x = Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) a x) in
+  let rows =
+    List.map
+      (fun (r : Boxlp.row) ->
+        let a = Array.make n 0.0 in
+        List.iter (fun (j, v) -> a.(j) <- a.(j) +. v) r.Boxlp.coefs;
+        (a, r.Boxlp.sense, r.Boxlp.rhs))
+      rows
+  in
+  let unit j = Array.init n (fun k -> if k = j then 1.0 else 0.0) in
+  let planes =
+    List.map (fun (a, _, rhs) -> (a, rhs)) rows
+    @ List.concat (List.init n (fun j -> [ (unit j, lo.(j)); (unit j, hi.(j)) ]))
+  in
+  let tol = 1e-7 in
+  let feasible x =
+    Array.for_all Fun.id (Array.mapi (fun j v -> v >= lo.(j) -. tol && v <= hi.(j) +. tol) x)
+    && List.for_all
+         (fun (a, sense, rhs) ->
+           let v = dot a x in
+           match sense with
+           | Boxlp.Le -> v <= rhs +. tol
+           | Boxlp.Ge -> v >= rhs -. tol
+           | Boxlp.Eq -> Float.abs (v -. rhs) <= tol)
+         rows
+  in
+  let best = ref None in
+  let rec choose k chosen planes =
+    if k = 0 then
+      match solve_square chosen with
+      | Some x when feasible x ->
+        let v = dot c x in
+        (match !best with Some b when b <= v -> () | _ -> best := Some v)
+      | Some _ | None -> ()
+    else
+      match planes with
+      | [] -> ()
+      | p :: rest ->
+        choose (k - 1) (p :: chosen) rest;
+        choose k chosen rest
+  in
+  choose n [] planes;
+  !best
+
+let prop_boxlp_matches_vertices =
+  QCheck.Test.make ~name:"boxlp matches vertex enumeration" ~count:200
     (QCheck.int_range 0 100_000) (fun seed ->
       let rng = Rng.create seed in
       let n = 2 + Rng.int rng 4 in
@@ -422,30 +496,11 @@ let prop_boxlp_matches_standard =
             in
             { Boxlp.coefs; sense; rhs = Rng.range rng (-1.0) 1.0 })
       in
-      (* reference through the standard-form path (forced by a free var) *)
-      let lp = Lp.create () in
-      let vars = Array.init n (fun j -> Lp.add_var ~lo:lo.(j) ~hi:hi.(j) lp) in
-      let _free = Lp.add_var lp in
-      List.iter
-        (fun (r : Boxlp.row) ->
-          let terms = List.map (fun (j, v) -> (v, vars.(j))) r.Boxlp.coefs in
-          let sense =
-            match r.Boxlp.sense with
-            | Boxlp.Le -> Lp.Le
-            | Boxlp.Ge -> Lp.Ge
-            | Boxlp.Eq -> Lp.Eq
-          in
-          Lp.add_constraint lp terms sense r.Boxlp.rhs)
-        rows;
-      Lp.set_objective lp (Array.to_list (Array.mapi (fun j cj -> (cj, vars.(j))) c));
-      let reference = Lp.solve lp in
       let fast = Boxlp.solve ~c ~lo ~hi ~rows () in
-      match reference, fast.Boxlp.status with
-      | Lp.Optimal { objective; _ }, Boxlp.Optimal ->
-        Float.abs (objective -. fast.Boxlp.objective) < 1e-5
-      | Lp.Infeasible, Boxlp.Infeasible -> true
-      | Lp.Unbounded, Boxlp.Unbounded -> true
-      | (Lp.Optimal _ | Lp.Infeasible | Lp.Unbounded | Lp.Pivot_limit), _ -> false)
+      match vertex_minimum ~c ~lo ~hi ~rows, fast.Boxlp.status with
+      | Some v, Boxlp.Optimal -> Float.abs (v -. fast.Boxlp.objective) < 1e-5
+      | None, Boxlp.Infeasible -> true
+      | (Some _ | None), _ -> false)
 
 let boxlp_tests =
   ( "lp.boxlp",
@@ -456,7 +511,7 @@ let boxlp_tests =
       Alcotest.test_case "equality rows" `Quick test_boxlp_equality_rows;
       Alcotest.test_case "rejects free var" `Quick test_boxlp_rejects_free_variable;
       Alcotest.test_case "pinned variable" `Quick test_boxlp_pinned_variable;
-      qtest prop_boxlp_matches_standard
+      qtest prop_boxlp_matches_vertices
     ] )
 
 let suite = suite @ [ boxlp_tests ]

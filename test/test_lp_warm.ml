@@ -1,8 +1,9 @@
 (* Differential battery for the warm-started LP verifier (DESIGN.md §13):
-   warm vs cold agreement along split paths, basis round-trips through
+   agreement with an independent per-state encoding and warm vs cold
+   agreement along split paths, basis round-trips through
    [Boxlp.solve_warm], fallback-path correctness, the bounded-pivot
    [Pivot_limit] result, [lp.warm.*] counters and [lp_warm] trace events,
-   the [--no-lp-warm] escape hatch and multi-domain verdict agreement. *)
+   and multi-domain verdict agreement. *)
 
 module Rng = Abonn_util.Rng
 module Budget = Abonn_util.Budget
@@ -15,8 +16,9 @@ module Network = Abonn_nn.Network
 module Affine = Abonn_nn.Affine
 module Builder = Abonn_nn.Builder
 module Outcome = Abonn_prop.Outcome
+module Bounds = Abonn_prop.Bounds
+module Deeppoly = Abonn_prop.Deeppoly
 module Boxlp = Abonn_lp.Boxlp
-module Simplex = Abonn_lp.Simplex
 module Lp = Abonn_lp.Lp_problem
 module Lp_verifier = Abonn_lp.Lp_verifier
 module Obs = Abonn_obs.Obs
@@ -26,6 +28,8 @@ module Event = Abonn_obs.Event
 module Matrix = Abonn_tensor.Matrix
 module Bfs = Abonn_bab.Bfs
 module Result = Abonn_bab.Result
+module Summary = Abonn_trace.Summary
+module Phases = Abonn_trace.Phases
 
 let check_float tol = Alcotest.(check (float tol))
 
@@ -87,9 +91,67 @@ let with_metrics f =
 
 (* --- warm vs cold differential --- *)
 
-(* Stateless warm calls solve the very same polytope as [run] (canonical
-   encoding vs the modelling-layer encoding): optima must agree to
-   solver noise on every node of a split path. *)
+(* Reference LP: the triangle relaxation encoded per neuron state (a
+   stable neuron gets no relaxation rows), built with [Lp_problem] and
+   solved row by row from scratch.  Its polytope is the one
+   [Lp_verifier]'s fixed-shape encoding describes.  [None] when the
+   splits are infeasible. *)
+let reference_rows (problem : Problem.t) gamma =
+  match Deeppoly.hidden_bounds problem gamma with
+  | None -> None
+  | Some pre_bounds ->
+    let affine = problem.Problem.affine and region = problem.Problem.region in
+    let lp = Lp.create () in
+    let neuron prev (w : Matrix.t) bias (b : Bounds.t) i =
+      let lo = b.Bounds.lower.(i) and hi = b.Bounds.upper.(i) in
+      let z = Lp.add_var ~lo ~hi lp in
+      Lp.add_constraint lp
+        ((1.0, z) :: List.init w.Matrix.cols (fun j -> (-.Matrix.get w i j, prev.(j))))
+        Lp.Eq bias.(i);
+      match Bounds.relu_state_of b i with
+      | Bounds.Stable_inactive -> Lp.add_var ~lo:0.0 ~hi:0.0 lp
+      | Bounds.Stable_active ->
+        let p = Lp.add_var ~lo:(Float.max 0.0 lo) ~hi:(Float.max 0.0 hi) lp in
+        Lp.add_constraint lp [ (1.0, p); (-1.0, z) ] Lp.Eq 0.0;
+        p
+      | Bounds.Unstable ->
+        (* p ≥ z, and the triangle's chord p ≤ s·(z − lo), s = hi/(hi−lo) *)
+        let p = Lp.add_var ~lo:0.0 ~hi:(Float.max 0.0 hi) lp in
+        Lp.add_constraint lp [ (1.0, p); (-1.0, z) ] Lp.Ge 0.0;
+        let s = hi /. (hi -. lo) in
+        Lp.add_constraint lp [ (1.0, p); (-.s, z) ] Lp.Le (-.s *. lo);
+        p
+    in
+    let inputs =
+      Array.mapi
+        (fun j lo -> Lp.add_var ~lo ~hi:region.Region.upper.(j) lp)
+        region.Region.lower
+    in
+    let last_post = ref inputs in
+    Array.iteri
+      (fun l b ->
+        let w = Affine.(affine.weights.(l)) and bias = Affine.(affine.biases.(l)) in
+        let prev = !last_post in
+        last_post := Array.init w.Matrix.rows (neuron prev w bias b))
+      pre_bounds;
+    let last = Affine.num_layers affine - 1 in
+    let w = Affine.(affine.weights.(last)) and bias = Affine.(affine.biases.(last)) in
+    let prop = problem.Problem.property in
+    Some
+      (Array.init prop.Property.c.Matrix.rows (fun r ->
+           (* minimise (cᵀW)·x_last + cᵀb + d *)
+           let crow = Matrix.row prop.Property.c r in
+           let coefs = Matrix.tmv w crow in
+           let constant = Abonn_tensor.Vector.dot crow bias +. prop.Property.d.(r) in
+           Lp.set_objective ~constant lp
+             (Array.to_list (Array.mapi (fun j v -> (v, !last_post.(j))) coefs));
+           match Lp.solve lp with
+           | Lp.Optimal { objective; _ } -> objective
+           | Lp.Infeasible -> infinity
+           | Lp.Unbounded | Lp.Pivot_limit -> neg_infinity))
+
+(* Stateless calls agree with the reference encoding to solver noise on
+   every node of a split path. *)
 let test_warm_stateless_matches_cold () =
   Lp_verifier.clear_warm_cache ();
   for seed = 0 to 5 do
@@ -99,16 +161,20 @@ let test_warm_stateless_matches_cold () =
     let depth = Stdlib.min 4 (Problem.num_relus problem) in
     List.iter
       (fun gamma ->
-        let cold = Lp_verifier.run problem gamma in
+        let cold = reference_rows problem gamma in
         let warm, state' = Lp_verifier.run_warm problem gamma in
         Alcotest.(check bool)
           (Printf.sprintf "infeasible agrees (seed %d)" seed)
-          cold.Outcome.infeasible warm.Outcome.infeasible;
-        if not (close cold.Outcome.phat warm.Outcome.phat) then
-          Alcotest.failf "phat differs (seed %d): %.17g vs %.17g" seed
-            cold.Outcome.phat warm.Outcome.phat;
-        check_rows (Printf.sprintf "row_lower (seed %d)" seed)
-          cold.Outcome.row_lower warm.Outcome.row_lower;
+          (cold = None) warm.Outcome.infeasible;
+        Option.iter
+          (fun rows ->
+            let phat = Array.fold_left Float.min infinity rows in
+            if not (close phat warm.Outcome.phat) then
+              Alcotest.failf "phat differs (seed %d): %.17g vs %.17g" seed phat
+                warm.Outcome.phat;
+            check_rows (Printf.sprintf "row_lower (seed %d)" seed) rows
+              warm.Outcome.row_lower)
+          cold;
         Alcotest.(check bool) "state iff feasible"
           (not warm.Outcome.infeasible)
           (state' <> None))
@@ -234,24 +300,6 @@ let test_warm_cache_hits_and_events () =
         | [] -> ()
       in
       pairs (events ()))
-
-(* [--no-lp-warm]: the warm entry point is bit-for-bit the cold path. *)
-let test_disabled_is_cold_path () =
-  for seed = 20 to 23 do
-    let problem = random_problem ~seed ~eps:0.4 () in
-    Lp_verifier.with_warm_enabled false (fun () ->
-        let cold = Lp_verifier.run problem [] in
-        let warm, state' = Lp_verifier.run_warm problem [] in
-        Alcotest.(check bool) "no state" true (state' = None);
-        Alcotest.(check bool)
-          (Printf.sprintf "identical phat (seed %d)" seed)
-          true
-          (cold.Outcome.phat = warm.Outcome.phat);
-        Alcotest.(check bool) "identical rows" true
-          (cold.Outcome.row_lower = warm.Outcome.row_lower);
-        Alcotest.(check bool) "identical candidate" true
-          (cold.Outcome.candidate = warm.Outcome.candidate))
-  done
 
 (* --- Boxlp basis round-trips and fallbacks --- *)
 
@@ -387,37 +435,13 @@ let test_boxlp_pivot_limit () =
   in
   Alcotest.(check bool) "pivot limit" true (sol.Boxlp.status = Boxlp.Pivot_limit)
 
-let test_simplex_pivot_limit () =
-  (* the classic degenerate instance from test_lp.ml, starved of pivots *)
-  let a =
-    Matrix.of_rows
-      [| [| 0.5; -5.5; -2.5; 9.0; 1.0; 0.0; 0.0 |];
-         [| 0.5; -1.5; -0.5; 1.0; 0.0; 1.0; 0.0 |];
-         [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0; 1.0 |]
-      |]
-  in
-  let c = [| -10.0; 57.0; 9.0; 24.0; 0.0; 0.0; 0.0 |] in
-  let sol = Simplex.solve ~max_iters:1 ~c ~a ~b:[| 0.0; 0.0; 1.0 |] () in
-  Alcotest.(check bool) "pivot limit" true (sol.Simplex.status = Simplex.Pivot_limit);
-  (* with the default budget the same instance still solves *)
-  let sol = Simplex.solve ~c ~a ~b:[| 0.0; 0.0; 1.0 |] () in
-  Alcotest.(check bool) "solves with budget" true (sol.Simplex.status = Simplex.Optimal)
-
 let test_lp_problem_pivot_limit () =
-  (* boxed path *)
   let lp = Lp.create () in
   let x = Lp.add_var ~lo:0.0 ~hi:2.0 lp in
   let y = Lp.add_var ~lo:0.0 ~hi:2.0 lp in
   Lp.add_constraint lp [ (1.0, x); (1.0, y) ] Lp.Le 3.0;
   Lp.set_objective lp [ (-1.0, x); (-1.0, y) ];
-  Alcotest.(check bool) "boxed pivot limit" true
-    (Lp.solve ~max_iters:0 lp = Lp.Pivot_limit);
-  (* standard-form path (forced by a free variable) *)
-  let lp = Lp.create () in
-  let x = Lp.add_var lp in
-  Lp.add_constraint lp [ (1.0, x) ] Lp.Eq (-7.0);
-  Lp.set_objective lp [ (1.0, x) ];
-  Alcotest.(check bool) "standard pivot limit" true
+  Alcotest.(check bool) "pivot limit" true
     (Lp.solve ~max_iters:0 lp = Lp.Pivot_limit)
 
 (* --- engine integration --- *)
@@ -436,8 +460,8 @@ let check_witness problem = function
       (Problem.is_counterexample problem x)
   | Verdict.Verified | Verdict.Timeout -> ()
 
-(* Warm on, warm off and [--domains 4] must reach the same verdict when
-   BaB runs on the LP AppVer. *)
+(* Warm on, warm off (no parent states) and [--domains 4] must reach
+   the same verdict when BaB runs on the LP AppVer. *)
 let test_engine_warm_cold_domains_agree () =
   List.iter
     (fun seed ->
@@ -450,10 +474,9 @@ let test_engine_warm_cold_domains_agree () =
           .Result.verdict
       in
       let vcold =
-        Lp_verifier.with_warm_enabled false (fun () ->
-            (Bfs.verify ~appver:Lp_verifier.appver ~budget:(budget ()) ~domains:1
-               problem)
-              .Result.verdict)
+        (Bfs.verify ~appver:{ Lp_verifier.appver with warm = None }
+           ~budget:(budget ()) ~domains:1 problem)
+          .Result.verdict
       in
       Lp_verifier.clear_warm_cache ();
       let vpar =
@@ -466,6 +489,35 @@ let test_engine_warm_cold_domains_agree () =
       List.iter (check_witness problem) [ vwarm; vcold; vpar ])
     [ 0; 3; 7 ]
 
+(* --- trace accounting --- *)
+
+(* One LP call is one AppVer call in the trace: the DeepPoly bounds it
+   builds on emit no event of their own, so [abonn_trace summary] and
+   [phases] count exactly the calls the engine reports. *)
+let test_one_event_per_call () =
+  (* both engines exhaust the 30-call budget on this instance *)
+  let problem = random_problem ~seed:3 ~dims:[ 3; 8; 8; 3 ] ~eps:0.4 () in
+  let appver = Lp_verifier.appver and budget () = Budget.of_calls 30 in
+  List.iter
+    (fun (name, verify) ->
+      Lp_verifier.clear_warm_cache ();
+      let sink, events = Sink.memory () in
+      let result = Obs.with_sink sink (fun () -> verify problem) in
+      let events = events () in
+      let calls = result.Result.stats.Result.appver_calls in
+      Alcotest.(check bool) (name ^ " splits") true (calls > 1);
+      Alcotest.(check int) (name ^ " summary calls") calls
+        (Summary.of_events events).Summary.calls;
+      let phases = Phases.of_events events in
+      Alcotest.(check (list string)) (name ^ " appver rows") [ "lp" ]
+        (List.map fst phases.Phases.appver);
+      Alcotest.(check int) (name ^ " phases calls") calls
+        phases.Phases.appver_total.Phases.calls)
+    [ ( "bestfirst",
+        fun p -> Abonn_bab.Bestfirst.verify ~appver ~budget:(budget ()) ~domains:1 p );
+      ( "inputsplit",
+        fun p -> Abonn_bab.Inputsplit.verify ~appver ~budget:(budget ()) ~domains:1 p ) ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -477,9 +529,7 @@ let suite =
         Alcotest.test_case "stateful sound, no looser" `Quick
           test_warm_stateful_sound_and_no_looser;
         Alcotest.test_case "cache hits and events" `Quick
-          test_warm_cache_hits_and_events;
-        Alcotest.test_case "disabled is cold path" `Quick
-          test_disabled_is_cold_path
+          test_warm_cache_hits_and_events
       ] );
     ( "lp_warm.boxlp",
       [ Alcotest.test_case "basis round-trip, zero pivots" `Quick
@@ -496,11 +546,14 @@ let suite =
       ] );
     ( "lp_warm.pivot_limit",
       [ Alcotest.test_case "boxlp" `Quick test_boxlp_pivot_limit;
-        Alcotest.test_case "simplex" `Quick test_simplex_pivot_limit;
         Alcotest.test_case "lp_problem" `Quick test_lp_problem_pivot_limit
       ] );
     ( "lp_warm.engine",
       [ Alcotest.test_case "warm/cold/domains verdicts agree" `Slow
           test_engine_warm_cold_domains_agree
+      ] );
+    ( "lp_warm.trace",
+      [ Alcotest.test_case "one bound_computed per call" `Quick
+          test_one_event_per_call
       ] )
   ]

@@ -47,6 +47,14 @@ let test_region_rejects_inverted () =
     (try ignore (Region.create ~lower:[| 1.0 |] ~upper:[| 0.0 |]); false
      with Invalid_argument _ -> true)
 
+let test_region_rejects_non_finite () =
+  List.iter
+    (fun (lower, upper) ->
+      Alcotest.(check bool) "raises" true
+        (try ignore (Region.create ~lower ~upper); false
+         with Invalid_argument _ -> true))
+    [ ([| nan |], [| 1.0 |]); ([| 0.0 |], [| infinity |]); ([| neg_infinity |], [| 0.0 |]) ]
+
 let test_region_sample_inside =
   QCheck.Test.make ~name:"region samples lie inside" ~count:100
     QCheck.(pair small_int small_int)
@@ -220,6 +228,7 @@ let suite =
         Alcotest.test_case "clamp" `Quick test_region_clamp;
         Alcotest.test_case "center/radius" `Quick test_region_center_radius;
         Alcotest.test_case "rejects inverted" `Quick test_region_rejects_inverted;
+        Alcotest.test_case "rejects non-finite" `Quick test_region_rejects_non_finite;
         Alcotest.test_case "corner" `Quick test_region_corner;
         qtest test_region_sample_inside
       ] );
@@ -365,12 +374,62 @@ let test_problem_file_rejects_garbage () =
         Alcotest.(check int) "bad float col" 13 col
       | Abonn_util.Parse_error.Byte _ -> Alcotest.fail "expected a line position"))
 
+(* Defects injected into the committed LP fuzz-corpus problem (a
+   3-input network): each must be rejected with a positioned error at
+   the offending token, never reach the verifier. *)
+let corpus_lp_with edits =
+  let text =
+    In_channel.with_open_bin "fixtures/fuzz/corpus_lp.problem" In_channel.input_all
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         match List.assoc_opt (List.hd (String.split_on_char ' ' l)) edits with
+         | Some replacement -> replacement
+         | None -> l)
+  |> String.concat "\n"
+
+let check_rejected edits ~line ~col ~token () =
+  match Problem_file.of_string ~dir:"fixtures/fuzz" (corpus_lp_with edits) with
+  | _ -> Alcotest.fail "defective problem accepted"
+  | exception Abonn_util.Parse_error.Error e -> (
+    Alcotest.(check string) "token" token e.Abonn_util.Parse_error.token;
+    match e.Abonn_util.Parse_error.pos with
+    | Abonn_util.Parse_error.Line l ->
+      Alcotest.(check (pair int int)) "line:col" (line, col) (l.line, l.col)
+    | Abonn_util.Parse_error.Byte _ -> Alcotest.fail "expected a line position")
+
+let defect name edits ~line ~col ~token =
+  Alcotest.test_case name `Quick (check_rejected edits ~line ~col ~token)
+
 let problem_file_tests =
   ( "spec.problem_file",
     [ Alcotest.test_case "roundtrip" `Quick test_problem_file_roundtrip;
       Alcotest.test_case "center/eps form" `Quick test_problem_file_center_eps_form;
       Alcotest.test_case "constraints form" `Quick test_problem_file_constraints_form;
-      Alcotest.test_case "rejects garbage" `Quick test_problem_file_rejects_garbage
+      Alcotest.test_case "rejects garbage" `Quick test_problem_file_rejects_garbage;
+      defect "rejects nan constraint offset"
+        [ ("constraint", "constraint nan -0x1p+0 0x1p+0") ]
+        ~line:5 ~col:12 ~token:"nan";
+      defect "rejects nan box-lower"
+        [ ("box-lower", "box-lower nan 0x1.4a097976f00e2p-1 0x1.34b6b9bef3deap-1") ]
+        ~line:3 ~col:11 ~token:"nan";
+      defect "rejects inf box-upper"
+        [ ("box-upper", "box-upper inf 0x1.67deaae4d2732p-1 0x1.528beb2cd643ap-1") ]
+        ~line:4 ~col:11 ~token:"inf";
+      defect "rejects empty box" [ ("box-lower", "box-lower 1 1 1") ]
+        ~line:3 ~col:11 ~token:"1";
+      defect "rejects short box" [ ("box-lower", "box-lower 0.3 0.6") ]
+        ~line:3 ~col:1 ~token:"box-lower";
+      defect "rejects negative eps"
+        [ ("box-lower", "center 0.3 0.6 0.6"); ("box-upper", "eps -1") ]
+        ~line:4 ~col:5 ~token:"-1";
+      defect "rejects empty clipped ball"
+        [ ("box-lower", "center 0.3 5 0.6"); ("box-upper", "eps 0.1\nclip 0 1") ]
+        ~line:3 ~col:12 ~token:"5";
+      defect "rejects wide constraint" [ ("constraint", "constraint 0 -1 1 1") ]
+        ~line:5 ~col:1 ~token:"constraint";
+      defect "rejects robustness arity" [ ("constraint", "robustness 3 0") ]
+        ~line:5 ~col:1 ~token:"robustness"
     ] )
 
 let suite = suite @ [ problem_file_tests ]
