@@ -435,6 +435,26 @@ let test_boxlp_pivot_limit () =
   in
   Alcotest.(check bool) "pivot limit" true (sol.Boxlp.status = Boxlp.Pivot_limit)
 
+let test_simplex_pivot_limit () =
+  (* the classic degenerate instance from test_lp.ml, starved of pivots *)
+  let c = [| -10.0; 57.0; 9.0; 24.0; 0.0; 0.0; 0.0 |] in
+  let row coefs rhs =
+    { Boxlp.coefs = List.mapi (fun j v -> (j, v)) coefs; sense = Boxlp.Eq; rhs }
+  in
+  let rows =
+    [ row [ 0.5; -5.5; -2.5; 9.0; 1.0; 0.0; 0.0 ] 0.0;
+      row [ 0.5; -1.5; -0.5; 1.0; 0.0; 1.0; 0.0 ] 0.0;
+      row [ 1.0; 0.0; 0.0; 0.0; 0.0; 0.0; 1.0 ] 1.0
+    ]
+  in
+  let lo = Array.make 7 0.0 and hi = Array.make 7 Float.infinity in
+  let sol = Boxlp.solve ~max_iters:1 ~c ~lo ~hi ~rows () in
+  Alcotest.(check bool) "pivot limit" true (sol.Boxlp.status = Boxlp.Pivot_limit);
+  (* with the default budget the same instance still solves *)
+  let sol = Boxlp.solve ~c ~lo ~hi ~rows () in
+  Alcotest.(check bool) "solves with budget" true (sol.Boxlp.status = Boxlp.Optimal);
+  check_float 1e-6 "objective" (-1.0) sol.Boxlp.objective
+
 let test_lp_problem_pivot_limit () =
   let lp = Lp.create () in
   let x = Lp.add_var ~lo:0.0 ~hi:2.0 lp in
@@ -546,6 +566,7 @@ let suite =
       ] );
     ( "lp_warm.pivot_limit",
       [ Alcotest.test_case "boxlp" `Quick test_boxlp_pivot_limit;
+        Alcotest.test_case "simplex" `Quick test_simplex_pivot_limit;
         Alcotest.test_case "lp_problem" `Quick test_lp_problem_pivot_limit
       ] );
     ( "lp_warm.engine",
