@@ -14,7 +14,7 @@ module Obs = Abonn_obs.Obs
 module Sink = Abonn_obs.Sink
 module Check = Abonn_check
 module Oracle = Abonn_check.Oracle
-module Campaign = Abonn_check.Campaign
+module Fuzz_campaign = Abonn_check.Fuzz_campaign
 module Finding = Abonn_check.Finding
 module Registry = Abonn_trace.Registry
 
@@ -64,7 +64,7 @@ let run_campaign seed cases families minimize out_dir trace_file findings_file
     { Oracle.default_config with Oracle.samples; engine_budget }
   in
   let cfg =
-    { Campaign.seed; cases; families; minimize; out_dir; oracle }
+    { Fuzz_campaign.seed; cases; families; minimize; out_dir; oracle }
   in
   let started = Unix.gettimeofday () in
   let outcome =
@@ -80,11 +80,11 @@ let run_campaign seed cases families minimize out_dir trace_file findings_file
           log_finding finding;
           Format.printf "%a@." Finding.pp finding
         in
-        Campaign.run ~on_finding ~on_case cfg)
+        Fuzz_campaign.run ~on_finding ~on_case cfg)
   in
-  let findings_n = List.length outcome.Campaign.findings in
+  let findings_n = List.length outcome.Fuzz_campaign.findings in
   Printf.printf "%d case(s), %d oracle check(s), %d finding(s)\n"
-    outcome.Campaign.cases_run outcome.Campaign.checks_run findings_n;
+    outcome.Fuzz_campaign.cases_run outcome.Fuzz_campaign.checks_run findings_n;
   (* one campaign-summary line in the run registry, so nightly fuzz runs
      show up in cross-commit trend reports (abonn_trace report) *)
   Option.iter
@@ -98,20 +98,20 @@ let run_campaign seed cases families minimize out_dir trace_file findings_file
             (if findings_n = 0 then "ok"
              else Printf.sprintf "findings:%d" findings_n)
           ~wall:(Unix.gettimeofday () -. started)
-          ~calls:outcome.Campaign.checks_run ~nodes:outcome.Campaign.cases_run
-          ~max_depth:0 ()
+          ~calls:outcome.Fuzz_campaign.checks_run
+          ~nodes:outcome.Fuzz_campaign.cases_run ~max_depth:0 ()
       in
       Registry.append ~path record;
       Printf.printf "registry record appended to: %s\n" path)
     registry;
-  if outcome.Campaign.findings = [] then `Ok () else exit 1
+  if outcome.Fuzz_campaign.findings = [] then `Ok () else exit 1
 
 let run_replay path family_str seed samples engine_budget =
   match Oracle.family_of_string family_str with
   | None -> `Error (false, Printf.sprintf "unknown oracle family %S" family_str)
   | Some family -> (
     let config = { Oracle.default_config with Oracle.samples; engine_budget } in
-    match Campaign.replay_file ~config ~seed ~family path with
+    match Fuzz_campaign.replay_file ~config ~seed ~family path with
     | Oracle.Pass ->
       Printf.printf "PASS %s on %s\n" (Oracle.family_name family) path;
       `Ok ()
@@ -122,7 +122,7 @@ let run_replay path family_str seed samples engine_budget =
     | exception Sys_error msg -> `Error (false, msg))
 
 let run_export dir seed =
-  match Campaign.export_corpus ~seed ~dir () with
+  match Fuzz_campaign.export_corpus ~seed ~dir () with
   | entries ->
     List.iter
       (fun (file, family, case_seed) ->

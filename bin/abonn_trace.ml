@@ -515,8 +515,7 @@ let load_campaign registries =
   | Error msg -> Error msg
   | Ok t ->
     List.iter
-      (fun (i : Campaign.issue) ->
-        Printf.eprintf "%s\n" (positioned ~line:i.Campaign.line i.Campaign.file "%s" i.Campaign.msg))
+      (fun (i : Campaign.issue) -> prerr_endline i.Campaign.msg)
       t.Campaign.issues;
     if t.Campaign.issues <> [] then flush stderr;
     if t.Campaign.records = [] then

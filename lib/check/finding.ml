@@ -11,51 +11,18 @@ type t = {
   roundtrip_ok : bool option;
 }
 
-(* Same string-escaping rules as Abonn_obs.Event.to_json. *)
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_json f =
-  let buf = Buffer.create 256 in
-  let field name add =
-    if Buffer.length buf > 1 then Buffer.add_char buf ',';
-    add_string buf name;
-    Buffer.add_char buf ':';
-    add ()
-  in
-  Buffer.add_char buf '{';
-  field "ev" (fun () -> add_string buf "fuzz_finding");
-  field "case" (fun () -> Buffer.add_string buf (string_of_int f.case_index));
-  field "seed" (fun () -> Buffer.add_string buf (string_of_int f.case_seed));
-  field "family" (fun () -> add_string buf (Oracle.family_name f.family));
-  field "check" (fun () -> add_string buf f.check);
-  field "detail" (fun () -> add_string buf f.detail);
-  field "descr" (fun () -> add_string buf f.descr);
-  field "relus" (fun () -> Buffer.add_string buf (string_of_int f.relus));
-  (match f.relus_minimized with
-   | Some n -> field "relus_minimized" (fun () -> Buffer.add_string buf (string_of_int n))
-   | None -> ());
-  (match f.repro with
-   | Some p -> field "repro" (fun () -> add_string buf p)
-   | None -> ());
-  (match f.roundtrip_ok with
-   | Some b -> field "roundtrip_ok" (fun () -> Buffer.add_string buf (string_of_bool b))
-   | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let opt k conv = Option.fold ~none:[] ~some:(fun v -> [ (k, conv v) ]) in
+  Abonn_util.Json.(
+    to_string
+      (Obj
+         ([ ("ev", Str "fuzz_finding"); ("case", Int f.case_index);
+            ("seed", Int f.case_seed); ("family", Str (Oracle.family_name f.family));
+            ("check", Str f.check); ("detail", Str f.detail); ("descr", Str f.descr);
+            ("relus", Int f.relus) ]
+         @ opt "relus_minimized" (fun n -> Int n) f.relus_minimized
+         @ opt "repro" (fun p -> Str p) f.repro
+         @ opt "roundtrip_ok" (fun b -> Bool b) f.roundtrip_ok)))
 
 let pp fmt f =
   Format.fprintf fmt "@[<v 2>FINDING [%s] %s (case %d, seed %d)@,%s@,case: %s (%d relus)"

@@ -126,37 +126,83 @@ let name = function
   | Branch_decision _ -> "branch_decision"
   | Frontier_decision _ -> "frontier_decision"
 
-(* --- encoding --- *)
+module Json = Abonn_util.Json
 
-(* JSON has no literal for non-finite floats; encode them as strings. *)
-let add_float buf v =
-  if Float.is_nan v then Buffer.add_string buf "\"nan\""
-  else if v = Float.infinity then Buffer.add_string buf "\"inf\""
-  else if v = Float.neg_infinity then Buffer.add_string buf "\"-inf\""
-  else Buffer.add_string buf (Printf.sprintf "%.17g" v)
-
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-type field = S of string | I of int | F of float | B of bool
+(* The per-event schema: every wire field after the envelope, in wire
+   order.  The encoder, [equal] and the Perfetto exporter read it. *)
+let fields : t -> (string * Json.t) list = function
+  | Run_started { engine; instance } ->
+    [ ("engine", Str engine); ("instance", Str instance) ]
+  | Run_finished { engine; instance; verdict; calls; nodes; max_depth; wall } ->
+    [ ("engine", Str engine); ("instance", Str instance); ("verdict", Str verdict);
+      ("calls", Int calls); ("nodes", Int nodes); ("max_depth", Int max_depth);
+      ("wall", Float wall) ]
+  | Node_selected { engine; depth; ucb } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("ucb", Float ucb) ]
+  | Node_evaluated { engine; depth; gamma; phat; reward } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("gamma", Str gamma);
+      ("phat", Float phat); ("reward", Float reward) ]
+  | Backprop { engine; depth; reward; size } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("reward", Float reward);
+      ("size", Int size) ]
+  | Frontier_pop { engine; depth; frontier; priority } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("frontier", Int frontier);
+      ("priority", Float priority) ]
+  | Exact_leaf { engine; depth; verified } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("verified", Bool verified) ]
+  | Bound_computed { appver; depth; phat; elapsed } ->
+    [ ("appver", Str appver); ("depth", Int depth); ("phat", Float phat);
+      ("elapsed", Float elapsed) ]
+  | Bound_reuse { appver; depth; from_layer; layers_skipped; clamps } ->
+    [ ("appver", Str appver); ("depth", Int depth); ("from_layer", Int from_layer);
+      ("layers_skipped", Int layers_skipped); ("clamps", Int clamps) ]
+  | Lp_solved { vars; rows; status; elapsed } ->
+    [ ("vars", Int vars); ("rows", Int rows); ("status", Str status);
+      ("elapsed", Float elapsed) ]
+  | Lp_warm { depth; rows; hit; pivots; fallback; elapsed } ->
+    [ ("depth", Int depth); ("rows", Int rows); ("hit", Bool hit);
+      ("pivots", Int pivots); ("fallback", Str fallback);
+      ("elapsed", Float elapsed) ]
+  | Attack_tried { attack; success; elapsed } ->
+    [ ("attack", Str attack); ("success", Bool success); ("elapsed", Float elapsed) ]
+  | Verdict_reached { engine; verdict; elapsed } ->
+    [ ("engine", Str engine); ("verdict", Str verdict); ("elapsed", Float elapsed) ]
+  | Resource_sample
+      { engine; rss_bytes; heap_bytes; minor_words; major_words; minor_gcs;
+        major_gcs; cpu; wall; open_nodes; nodes; max_depth; nps } ->
+    [ ("engine", Str engine); ("rss_bytes", Int rss_bytes);
+      ("heap_bytes", Int heap_bytes); ("minor_words", Float minor_words);
+      ("major_words", Float major_words); ("minor_gcs", Int minor_gcs);
+      ("major_gcs", Int major_gcs); ("cpu", Float cpu); ("wall", Float wall);
+      ("open_nodes", Int open_nodes); ("nodes", Int nodes);
+      ("max_depth", Int max_depth); ("nps", Float nps) ]
+  | Domain_summary { engine; domain; processed; pushed; stolen; idle } ->
+    [ ("engine", Str engine); ("domain", Int domain); ("processed", Int processed);
+      ("pushed", Int pushed); ("stolen", Int stolen); ("idle", Int idle) ]
+  | Ucb_decision
+      { engine; depth; chosen; sample; plus_exploit; plus_explore;
+        plus_visits; minus_exploit; minus_explore; minus_visits } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("chosen", Str chosen);
+      ("sample", Int sample); ("plus_exploit", Float plus_exploit);
+      ("plus_explore", Float plus_explore); ("plus_visits", Int plus_visits);
+      ("minus_exploit", Float minus_exploit); ("minus_explore", Float minus_explore);
+      ("minus_visits", Int minus_visits) ]
+  | Branch_decision
+      { engine; depth; kind; choice; score; runner_up; runner_up_score;
+        candidates; sample } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("kind", Str kind);
+      ("choice", Int choice); ("score", Float score); ("runner_up", Int runner_up);
+      ("runner_up_score", Float runner_up_score); ("candidates", Int candidates);
+      ("sample", Int sample) ]
+  | Frontier_decision { engine; depth; priority; runner_up; frontier; sample } ->
+    [ ("engine", Str engine); ("depth", Int depth); ("priority", Float priority);
+      ("runner_up", Float runner_up); ("frontier", Int frontier);
+      ("sample", Int sample) ]
 
 let to_json { seq; t; domain; event } =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"seq\":%d,\"t\":%.6f,\"ev\":" seq t);
-  add_string buf (name event);
+  Printf.bprintf buf "{\"seq\":%d,\"t\":%.6f,\"ev\":" seq t;
+  Json.add buf (Str (name event));
   (* The envelope domain tag rides right after the discriminator.  A
      [domain_summary] event describes a domain in its own field of the
      same name, so the envelope tag is suppressed there to keep the
@@ -164,232 +210,28 @@ let to_json { seq; t; domain; event } =
      byte-for-byte what the pre-parallelism encoder produced. *)
   (match (domain, event) with
    | Some _, Domain_summary _ | None, _ -> ()
-   | Some d, _ -> Buffer.add_string buf (Printf.sprintf ",\"domain\":%d" d));
-  let field (k, v) =
-    Buffer.add_char buf ',';
-    add_string buf k;
-    Buffer.add_char buf ':';
-    match v with
-    | S s -> add_string buf s
-    | I i -> Buffer.add_string buf (string_of_int i)
-    | F f -> add_float buf f
-    | B b -> Buffer.add_string buf (if b then "true" else "false")
-  in
-  let fields =
-    match event with
-    | Run_started { engine; instance } ->
-      [ ("engine", S engine); ("instance", S instance) ]
-    | Run_finished { engine; instance; verdict; calls; nodes; max_depth; wall } ->
-      [ ("engine", S engine); ("instance", S instance); ("verdict", S verdict);
-        ("calls", I calls); ("nodes", I nodes); ("max_depth", I max_depth);
-        ("wall", F wall) ]
-    | Node_selected { engine; depth; ucb } ->
-      [ ("engine", S engine); ("depth", I depth); ("ucb", F ucb) ]
-    | Node_evaluated { engine; depth; gamma; phat; reward } ->
-      [ ("engine", S engine); ("depth", I depth); ("gamma", S gamma);
-        ("phat", F phat); ("reward", F reward) ]
-    | Backprop { engine; depth; reward; size } ->
-      [ ("engine", S engine); ("depth", I depth); ("reward", F reward);
-        ("size", I size) ]
-    | Frontier_pop { engine; depth; frontier; priority } ->
-      [ ("engine", S engine); ("depth", I depth); ("frontier", I frontier);
-        ("priority", F priority) ]
-    | Exact_leaf { engine; depth; verified } ->
-      [ ("engine", S engine); ("depth", I depth); ("verified", B verified) ]
-    | Bound_computed { appver; depth; phat; elapsed } ->
-      [ ("appver", S appver); ("depth", I depth); ("phat", F phat);
-        ("elapsed", F elapsed) ]
-    | Bound_reuse { appver; depth; from_layer; layers_skipped; clamps } ->
-      [ ("appver", S appver); ("depth", I depth); ("from_layer", I from_layer);
-        ("layers_skipped", I layers_skipped); ("clamps", I clamps) ]
-    | Lp_solved { vars; rows; status; elapsed } ->
-      [ ("vars", I vars); ("rows", I rows); ("status", S status);
-        ("elapsed", F elapsed) ]
-    | Lp_warm { depth; rows; hit; pivots; fallback; elapsed } ->
-      [ ("depth", I depth); ("rows", I rows); ("hit", B hit);
-        ("pivots", I pivots); ("fallback", S fallback);
-        ("elapsed", F elapsed) ]
-    | Attack_tried { attack; success; elapsed } ->
-      [ ("attack", S attack); ("success", B success); ("elapsed", F elapsed) ]
-    | Verdict_reached { engine; verdict; elapsed } ->
-      [ ("engine", S engine); ("verdict", S verdict); ("elapsed", F elapsed) ]
-    | Resource_sample
-        { engine; rss_bytes; heap_bytes; minor_words; major_words; minor_gcs;
-          major_gcs; cpu; wall; open_nodes; nodes; max_depth; nps } ->
-      [ ("engine", S engine); ("rss_bytes", I rss_bytes);
-        ("heap_bytes", I heap_bytes); ("minor_words", F minor_words);
-        ("major_words", F major_words); ("minor_gcs", I minor_gcs);
-        ("major_gcs", I major_gcs); ("cpu", F cpu); ("wall", F wall);
-        ("open_nodes", I open_nodes); ("nodes", I nodes);
-        ("max_depth", I max_depth); ("nps", F nps) ]
-    | Domain_summary { engine; domain; processed; pushed; stolen; idle } ->
-      [ ("engine", S engine); ("domain", I domain); ("processed", I processed);
-        ("pushed", I pushed); ("stolen", I stolen); ("idle", I idle) ]
-    | Ucb_decision
-        { engine; depth; chosen; sample; plus_exploit; plus_explore;
-          plus_visits; minus_exploit; minus_explore; minus_visits } ->
-      [ ("engine", S engine); ("depth", I depth); ("chosen", S chosen);
-        ("sample", I sample); ("plus_exploit", F plus_exploit);
-        ("plus_explore", F plus_explore); ("plus_visits", I plus_visits);
-        ("minus_exploit", F minus_exploit); ("minus_explore", F minus_explore);
-        ("minus_visits", I minus_visits) ]
-    | Branch_decision
-        { engine; depth; kind; choice; score; runner_up; runner_up_score;
-          candidates; sample } ->
-      [ ("engine", S engine); ("depth", I depth); ("kind", S kind);
-        ("choice", I choice); ("score", F score); ("runner_up", I runner_up);
-        ("runner_up_score", F runner_up_score); ("candidates", I candidates);
-        ("sample", I sample) ]
-    | Frontier_decision { engine; depth; priority; runner_up; frontier; sample } ->
-      [ ("engine", S engine); ("depth", I depth); ("priority", F priority);
-        ("runner_up", F runner_up); ("frontier", I frontier);
-        ("sample", I sample) ]
-  in
-  List.iter field fields;
+   | Some d, _ -> Printf.bprintf buf ",\"domain\":%d" d);
+  Json.add_members buf (fields event);
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* --- decoding: a minimal parser for the flat objects we emit --- *)
-
 exception Bad of string
-
-let parse_flat line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise (Bad "truncated") in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise (Bad (Printf.sprintf "expected '%c' at %d" c !pos));
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        let e = peek () in
-        advance ();
-        (match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'u' ->
-           if !pos + 4 > n then raise (Bad "truncated \\u escape");
-           let hex = String.sub line !pos 4 in
-           pos := !pos + 4;
-           let code =
-             try int_of_string ("0x" ^ hex)
-             with _ -> raise (Bad ("bad \\u escape " ^ hex))
-           in
-           if code > 0xff then raise (Bad "\\u escape above latin-1")
-           else Buffer.add_char buf (Char.chr code)
-         | c -> raise (Bad (Printf.sprintf "bad escape '\\%c'" c)));
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let parse_scalar () =
-    skip_ws ();
-    match peek () with
-    | '"' -> S (parse_string ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-        pos := !pos + 4; B true
-      end
-      else raise (Bad "bad literal")
-    | 'f' ->
-      if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-        pos := !pos + 5; B false
-      end
-      else raise (Bad "bad literal")
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match line.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        advance ()
-      done;
-      if !pos = start then raise (Bad (Printf.sprintf "bad value at %d" start));
-      let text = String.sub line start (!pos - start) in
-      (match int_of_string_opt text with
-       | Some i -> I i
-       | None ->
-         (match float_of_string_opt text with
-          | Some f -> F f
-          | None -> raise (Bad ("bad number " ^ text))))
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_scalar () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> advance (); members ()
-      | '}' -> advance ()
-      | c -> raise (Bad (Printf.sprintf "expected ',' or '}', got '%c'" c))
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage");
-  List.rev !fields
-
-let get fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> raise (Bad ("missing field " ^ k))
-
-let get_string fields k =
-  match get fields k with S s -> s | _ -> raise (Bad (k ^ ": expected string"))
-
-let get_int fields k =
-  match get fields k with I i -> i | _ -> raise (Bad (k ^ ": expected int"))
-
-let get_bool fields k =
-  match get fields k with B b -> b | _ -> raise (Bad (k ^ ": expected bool"))
-
-let get_float fields k =
-  match get fields k with
-  | F f -> f
-  | I i -> float_of_int i
-  | S "inf" -> Float.infinity
-  | S "-inf" -> Float.neg_infinity
-  | S "nan" -> Float.nan
-  | _ -> raise (Bad (k ^ ": expected float"))
 
 let of_json line =
   try
-    let fields = parse_flat line in
-    let s k = get_string fields k
-    and i k = get_int fields k
-    and f k = get_float fields k
-    and b k = get_bool fields k in
+    let json = Json.of_string line in
+    let get conv k =
+      match Json.member k json with
+      | None -> raise (Bad ("missing field " ^ k))
+      | Some v ->
+        (match conv v with Some x -> x | None -> raise (Bad (k ^ ": wrong type")))
+    in
+    let s = get Json.as_string
+    and i = get Json.as_int
+    and f = get Json.as_float
+    and b = get Json.as_bool in
     let event =
-      match get_string fields "ev" with
+      match s "ev" with
       | "run_started" -> Run_started { engine = s "engine"; instance = s "instance" }
       | "run_finished" ->
         Run_finished
@@ -471,95 +313,26 @@ let of_json line =
       (* "domain" on a domain_summary line is the event's own field *)
       match event with
       | Domain_summary _ -> None
-      | _ ->
-        (match List.assoc_opt "domain" fields with
-         | Some (I d) -> Some d
-         | Some _ | None -> None)
+      | _ -> Option.bind (Json.member "domain" json) Json.as_int
     in
-    Ok { seq = get_int fields "seq"; t = get_float fields "t"; domain; event }
-  with Bad msg -> Error msg
+    Ok { seq = i "seq"; t = f "t"; domain; event }
+  with
+  | Bad msg -> Error msg
+  | Abonn_util.Parse_error.Error { pos = Line { col; _ }; token; msg; _ } ->
+    Error
+      (if token = "" then Printf.sprintf "col %d: %s" col msg
+       else Printf.sprintf "col %d: %s (at %S)" col msg token)
 
-(* --- equality (nan = nan, for round-trip checks) --- *)
-
-let feq a b = (Float.is_nan a && Float.is_nan b) || a = b
-
-let event_equal a b =
-  match a, b with
-  | Node_selected x, Node_selected y ->
-    x.engine = y.engine && x.depth = y.depth && feq x.ucb y.ucb
-  | Node_evaluated x, Node_evaluated y ->
-    x.engine = y.engine && x.depth = y.depth && x.gamma = y.gamma
-    && feq x.phat y.phat && feq x.reward y.reward
-  | Backprop x, Backprop y ->
-    x.engine = y.engine && x.depth = y.depth && feq x.reward y.reward
-    && x.size = y.size
-  | Frontier_pop x, Frontier_pop y ->
-    x.engine = y.engine && x.depth = y.depth && x.frontier = y.frontier
-    && feq x.priority y.priority
-  | Bound_computed x, Bound_computed y ->
-    x.appver = y.appver && x.depth = y.depth && feq x.phat y.phat
-    && feq x.elapsed y.elapsed
-  | Lp_solved x, Lp_solved y ->
-    x.vars = y.vars && x.rows = y.rows && x.status = y.status
-    && feq x.elapsed y.elapsed
-  | Lp_warm x, Lp_warm y ->
-    x.depth = y.depth && x.rows = y.rows && x.hit = y.hit
-    && x.pivots = y.pivots && x.fallback = y.fallback
-    && feq x.elapsed y.elapsed
-  | Attack_tried x, Attack_tried y ->
-    x.attack = y.attack && x.success = y.success && feq x.elapsed y.elapsed
-  | Verdict_reached x, Verdict_reached y ->
-    x.engine = y.engine && x.verdict = y.verdict && feq x.elapsed y.elapsed
-  | Run_finished x, Run_finished y ->
-    x.engine = y.engine && x.instance = y.instance && x.verdict = y.verdict
-    && x.calls = y.calls && x.nodes = y.nodes && x.max_depth = y.max_depth
-    && feq x.wall y.wall
-  | Resource_sample x, Resource_sample y ->
-    x.engine = y.engine && x.rss_bytes = y.rss_bytes
-    && x.heap_bytes = y.heap_bytes && feq x.minor_words y.minor_words
-    && feq x.major_words y.major_words && x.minor_gcs = y.minor_gcs
-    && x.major_gcs = y.major_gcs && feq x.cpu y.cpu && feq x.wall y.wall
-    && x.open_nodes = y.open_nodes && x.nodes = y.nodes
-    && x.max_depth = y.max_depth && feq x.nps y.nps
-  | Ucb_decision x, Ucb_decision y ->
-    x.engine = y.engine && x.depth = y.depth && x.chosen = y.chosen
-    && x.sample = y.sample && feq x.plus_exploit y.plus_exploit
-    && feq x.plus_explore y.plus_explore && x.plus_visits = y.plus_visits
-    && feq x.minus_exploit y.minus_exploit
-    && feq x.minus_explore y.minus_explore && x.minus_visits = y.minus_visits
-  | Branch_decision x, Branch_decision y ->
-    x.engine = y.engine && x.depth = y.depth && x.kind = y.kind
-    && x.choice = y.choice && feq x.score y.score && x.runner_up = y.runner_up
-    && feq x.runner_up_score y.runner_up_score
-    && x.candidates = y.candidates && x.sample = y.sample
-  | Frontier_decision x, Frontier_decision y ->
-    x.engine = y.engine && x.depth = y.depth && feq x.priority y.priority
-    && feq x.runner_up y.runner_up && x.frontier = y.frontier
-    && x.sample = y.sample
-  | (Run_started _ | Exact_leaf _ | Bound_reuse _ | Domain_summary _), _ -> a = b
-  | _, _ -> false
-
+(* nan equals nan, so JSONL round-trips can be checked *)
 let equal a b =
-  a.seq = b.seq && feq a.t b.t && a.domain = b.domain
-  && event_equal a.event b.event
-
-(* --- flat-JSON helpers for other line-oriented consumers (registry, …) --- *)
-
-let parse_fields line =
-  try Ok (parse_flat line) with Bad msg -> Error msg
-
-let field_string = function S s -> Some s | I _ | F _ | B _ -> None
-let field_int = function I i -> Some i | S _ | F _ | B _ -> None
-
-let field_float = function
-  | F f -> Some f
-  | I i -> Some (float_of_int i)
-  | S "inf" -> Some Float.infinity
-  | S "-inf" -> Some Float.neg_infinity
-  | S "nan" -> Some Float.nan
-  | S _ | B _ -> None
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  add_string buf s;
-  Buffer.contents buf
+  let same (k, x) (k', y) =
+    String.equal k k'
+    &&
+    match (x, y) with
+    | Json.Float x, Json.Float y -> (Float.is_nan x && Float.is_nan y) || x = y
+    | x, y -> x = y
+  in
+  a.seq = b.seq && a.domain = b.domain
+  && same ("t", Float a.t) ("t", Float b.t)
+  && String.equal (name a.event) (name b.event)
+  && List.equal same (fields a.event) (fields b.event)

@@ -3,14 +3,17 @@
     Every observable action in a run — node evaluations and selections in
     ABONN, frontier pops in the BaB baselines, AppVer bound computations,
     LP solves, attack attempts and engine verdicts — is described by one
-    constructor of {!t}.  Events carry only plain strings / ints / floats
-    so this library sits at the very bottom of the dependency graph and
-    every layer above can emit without cycles.
+    constructor of {!t}.  Events carry only plain strings / ints / floats,
+    so this library depends on nothing above lib/util and every layer
+    above can emit without cycles.
 
     The JSONL wire format (one flat JSON object per line, a ["ev"]
     discriminator field, non-finite floats encoded as the strings
-    ["inf"] / ["-inf"] / ["nan"]) is documented in [docs/TRACE_SCHEMA.md];
-    {!to_json} and {!of_json} are exact inverses for every event. *)
+    ["inf"] / ["-inf"] / ["nan"]) is documented in [docs/TRACE_SCHEMA.md].
+    {!fields} is the one per-event schema: {!to_json} writes it through
+    {!Abonn_util.Json}, {!equal} compares it, and the Perfetto exporter
+    turns it into slice arguments.  {!to_json} and {!of_json} are exact
+    inverses for every event. *)
 
 type t =
   | Run_started of { engine : string; instance : string }
@@ -173,36 +176,19 @@ val name : t -> string
 (** Wire name of the constructor, e.g. ["node_evaluated"] — the value of
     the ["ev"] JSON field. *)
 
+val fields : t -> (string * Abonn_util.Json.t) list
+(** The event's wire fields after the envelope (["seq"], ["t"], ["ev"]
+    and the ["domain"] tag), in wire order: ints as [Int], floats as
+    [Float], strings as [Str], booleans as [Bool]. *)
+
 val to_json : envelope -> string
 (** One JSON object, no trailing newline. *)
 
 val of_json : string -> (envelope, string) result
 (** Parse one line produced by {!to_json}.  [Error msg] on malformed
-    input, unknown ["ev"], or missing fields. *)
+    JSON (the message starts with the column), unknown ["ev"], or
+    missing or mistyped fields. *)
 
 val equal : envelope -> envelope -> bool
-(** Structural equality treating [nan] as equal to [nan] (so JSONL
-    round-trips can be checked). *)
-
-(** {1 Flat-JSON helpers}
-
-    The trace wire format is flat JSON objects of scalars; other
-    line-oriented consumers in the repo (the run registry) reuse the
-    same parser and string escaping instead of growing their own. *)
-
-type field = S of string | I of int | F of float | B of bool
-
-val parse_fields : string -> ((string * field) list, string) result
-(** Parse one flat JSON object into its fields, in source order.
-    Accepts exactly the scalar conventions of the trace schema
-    (strings, ints, floats, bools; no nesting). *)
-
-val field_string : field -> string option
-val field_int : field -> int option
-
-val field_float : field -> float option
-(** Ints widen to floats; the strings ["inf"]/["-inf"]/["nan"] decode to
-    the corresponding non-finite floats (schema §1.2). *)
-
-val json_string : string -> string
-(** Quote and escape [s] exactly as the trace encoder does. *)
+(** Equality of the envelope and of {!fields}, treating [nan] as equal
+    to [nan] (so JSONL round-trips can be checked). *)

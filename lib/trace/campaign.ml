@@ -23,7 +23,7 @@ let load paths =
     List.concat_map
       (fun file ->
         Registry.fold_lines file ~init:[] ~f:(fun acc line_no line ->
-            match Registry.of_json line with
+            match Registry.of_json ~source:file ~line:line_no line with
             | Ok r -> `Record r :: acc
             | Error msg -> `Issue { file; line = line_no; msg } :: acc)
         |> List.rev)

@@ -14,6 +14,8 @@
     subjects and committed CI artifacts. *)
 
 type issue = { file : string; line : int; msg : string }
+(** [msg] is {!Registry.of_json}'s diagnostic, already positioned as
+    [FILE:LINE:COL: ...]. *)
 
 type t = {
   records : Registry.record list;  (** file order, then line order *)

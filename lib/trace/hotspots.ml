@@ -1,5 +1,3 @@
-module Event = Abonn_obs.Event
-
 type row = {
   phase : string;
   depth : int;  (** BaB-tree depth; [-1] when the phase carries none *)
@@ -11,108 +9,35 @@ type row = {
 type t = {
   engine : string;
   wall : float;
-  overhead : float;  (** wall not attributed to any row *)
+  domains : int;
+  overhead : float;  (** capacity not attributed to any row *)
   rows : row list;  (** sorted by [seconds], descending *)
 }
 
 let of_events events =
-  let summary = Summary.of_events events in
-  let arr = Array.of_list events in
-  let tbl : (string * int * int, int ref * float ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let charge phase depth layer elapsed =
-    let calls, secs =
-      match Hashtbl.find_opt tbl (phase, depth, layer) with
-      | Some c -> c
-      | None ->
-        let c = (ref 0, ref 0.0) in
-        Hashtbl.replace tbl (phase, depth, layer) c;
-        c
-    in
-    incr calls;
-    secs := !secs +. elapsed
-  in
-  (* Span events land at span end, so LP/attack children precede their
-     enclosing parent (same absorption contract as {!Phases}).  Keep
-     unclaimed LP spans pending; a [bound_computed] whose window covers
-     them absorbs them (their time is already inside its [elapsed]); an
-     [exact_leaf] flushes the rest as exact-check LP work at the leaf's
-     depth. *)
-  let pending_lp = ref [] (* (t, elapsed) *) in
-  let pending_attacks = ref [] (* (t, elapsed, name) top-level so far *) in
-  let wall = ref None and t_first = ref None and t_last = ref 0.0 in
-  Array.iteri
-    (fun i env ->
-      let t = env.Event.t in
-      if !t_first = None then t_first := Some t;
-      t_last := t;
-      match env.Event.event with
-      | Event.Bound_computed { appver; depth; elapsed; _ } ->
-        (* the incremental propagator annotates a warm-started bound
-           with an immediately following [bound_reuse]; absence of the
-           annotation means a cold full propagation (layer 0) *)
-        let layer =
-          if i + 1 < Array.length arr then
-            match arr.(i + 1).Event.event with
-            | Event.Bound_reuse { appver = a; depth = d; from_layer; _ }
-              when String.equal a appver && d = depth -> from_layer
-            | _ -> 0
-          else 0
-        in
-        charge ("appver." ^ appver) depth layer elapsed;
-        let start = t -. elapsed in
-        pending_lp :=
-          List.filter (fun (lt, _) -> not (lt >= start && lt <= t)) !pending_lp
-      | Event.Lp_solved { elapsed; _ } ->
-        pending_lp := (t, elapsed) :: !pending_lp
-      | Event.Exact_leaf { depth; _ } ->
-        List.iter (fun (_, d) -> charge "lp.exact" depth (-1) d) !pending_lp;
-        pending_lp := []
-      | Event.Attack_tried { attack; elapsed; _ } ->
-        let start = t -. elapsed in
-        let top =
-          List.filter
-            (fun (at, _, _) -> not (at >= start && at <= t))
-            !pending_attacks
-        in
-        pending_attacks := (t, elapsed, attack) :: top
-      | Event.Verdict_reached { elapsed; _ } -> wall := Some elapsed
-      | Event.Run_finished { wall = w; _ } ->
-        if !wall = None then wall := Some w
-      | _ -> ())
-    arr;
-  List.iter (fun (_, d) -> charge "lp.exact" (-1) (-1) d) !pending_lp;
-  List.iter
-    (fun (_, d, name) -> charge ("attack." ^ name) (-1) (-1) d)
-    !pending_attacks;
-  let wall =
-    match !wall with
-    | Some w -> w
-    | None -> !t_last -. Option.value ~default:!t_last !t_first
-  in
+  let run = Summary.of_events events in
   let rows =
-    Hashtbl.fold
-      (fun (phase, depth, layer) (calls, secs) acc ->
-        { phase; depth; layer; calls = !calls; seconds = !secs } :: acc)
-      tbl []
-    |> List.sort (fun a b ->
-           match compare b.seconds a.seconds with
-           | 0 -> compare (a.phase, a.depth, a.layer) (b.phase, b.depth, b.layer)
-           | c -> c)
+    List.filter_map
+      (fun { Spans.key = { phase; depth; layer; nested }; calls; seconds } ->
+        if nested then None else Some { phase; depth; layer; calls; seconds })
+      (Spans.of_events events)
+    |> List.stable_sort (fun a b -> compare b.seconds a.seconds)
   in
   let attributed = List.fold_left (fun acc r -> acc +. r.seconds) 0.0 rows in
-  { engine = summary.Summary.engine;
-    wall;
-    overhead = Float.max 0.0 (wall -. attributed);
+  let capacity = Spans.capacity ~wall:run.Summary.wall ~domains:run.Summary.domains in
+  { engine = run.Summary.engine;
+    wall = run.Summary.wall;
+    domains = run.Summary.domains;
+    overhead = Float.max 0.0 (capacity -. attributed);
     rows }
 
 let to_string ?(limit = 30) h =
   let buf = Buffer.create 1024 in
-  let pct s = if h.wall > 0.0 then 100.0 *. s /. h.wall else 0.0 in
+  let capacity = Spans.capacity ~wall:h.wall ~domains:h.domains in
+  let pct s = if capacity > 0.0 then 100.0 *. s /. capacity else 0.0 in
   Buffer.add_string buf
-    (Printf.sprintf "hotspots  engine=%s wall=%.6f s (%d rows)\n" h.engine
-       h.wall (List.length h.rows));
+    (Printf.sprintf "hotspots  engine=%s wall=%.6f s%s (%d rows)\n" h.engine
+       h.wall (Spans.domains_suffix h.domains) (List.length h.rows));
   Buffer.add_string buf
     (Printf.sprintf "  %4s %-24s %6s %6s %8s %12s %7s %7s\n" "rank" "phase"
        "depth" "layer" "calls" "seconds" "wall" "cum");

@@ -1,18 +1,12 @@
 (** Wall-time hotspot attribution: phase x tree-depth x layer.
 
     {!Phases} answers "where did the time go" per phase; this module
-    splits the same spans by BaB-tree depth and warm-start layer so a
-    regression can be localised ("DeepPoly at depth 7, cold starts").
-    Span absorption follows the {!Phases} contract: span events are
-    emitted at span end, LP solves inside a [bound_computed] window are
-    part of its [elapsed] (not re-charged), leftover LP spans are
-    exact-check work attributed to the next [exact_leaf]'s depth, and
-    nested attack spans fold into their top-level attack.
-
-    The layer of a [bound_computed] row comes from the immediately
-    following [bound_reuse] annotation (same appver and depth) when one
-    is present; a bound with no annotation was a cold full propagation,
-    layer [0]. *)
+    lists the same {!Spans} cells by BaB-tree depth and warm-start
+    layer so a regression can be localised ("DeepPoly at depth 7, cold
+    starts").  Its rows are the unnested cells: AppVer calls, exact-leaf
+    LP at the depth of the leaf it decided, and top-level attacks.
+    Shares are of the capacity, the segment's wall times its domain
+    count. *)
 
 type row = {
   phase : string;
@@ -25,8 +19,9 @@ type row = {
 
 type t = {
   engine : string;
-  wall : float;
-  overhead : float;  (** wall not attributed to any row *)
+  wall : float;  (** the segment's wall ({!Summary.run}[.wall]) *)
+  domains : int;  (** the segment's domain count; [0] when sequential *)
+  overhead : float;  (** capacity not attributed to any row *)
   rows : row list;  (** sorted by [seconds], descending *)
 }
 
@@ -34,8 +29,9 @@ val of_events : Abonn_obs.Event.envelope list -> t
 (** Attribute one run's segment. *)
 
 val to_string : ?limit:int -> t -> string
-(** Ranked table with per-row and cumulative wall shares; at most
-    [limit] rows (default 30). *)
+(** Ranked table with per-row and cumulative shares of the capacity;
+    at most [limit] rows (default 30).  The header reads
+    [wall=W s × N domains] when [N > 1]. *)
 
 val to_flame : t -> string
 (** Folded-stack output for flamegraph tooling, one line per row:

@@ -3,7 +3,8 @@
    terminal dashboard renderer.  Unlike [Summary], which reconstructs a
    finished run exactly, the monitor keeps only what a live view needs:
    running totals, a depth histogram, a recent-window node rate, the
-   phase split so far and the resource (memory) curve. *)
+   phase split so far (a [Spans] model, so nested spans count once)
+   and the resource (memory) curve. *)
 
 module Event = Abonn_obs.Event
 module Table = Abonn_util.Table
@@ -21,9 +22,7 @@ type t = {
   mutable frontier : int;
   mutable best : float;
   mutable t_last : float;
-  mutable appver_time : float;
-  mutable lp_time : float;
-  mutable attack_time : float;
+  spans : Spans.t;  (* the phase split, nesting resolved *)
   mutable depth_hist : int array;  (* grown on demand *)
   window : (float * int) Queue.t;  (* (t, nodes) for the recent node rate *)
   mutable rss_curve : (float * int) list;  (* (t, rss_bytes), newest first *)
@@ -44,9 +43,7 @@ let create () =
     frontier = 0;
     best = Float.nan;
     t_last = 0.0;
-    appver_time = 0.0;
-    lp_time = 0.0;
-    attack_time = 0.0;
+    spans = Spans.create ();
     depth_hist = Array.make 16 0;
     window = Queue.create ();
     rss_curve = [];
@@ -79,6 +76,7 @@ let note_node m t =
 let feed m env =
   m.events <- m.events + 1;
   m.t_last <- env.Event.t;
+  Spans.feed m.spans env;
   (match env.Event.domain with
    | Some d when d + 1 > m.domains -> m.domains <- d + 1
    | Some _ | None -> ());
@@ -110,11 +108,10 @@ let feed m env =
     if not verified then better m Float.infinity
   | Event.Node_selected { engine; _ } | Event.Backprop { engine; _ } ->
     if m.engine = None then m.engine <- Some engine
-  | Event.Bound_computed { elapsed; _ } -> m.appver_time <- m.appver_time +. elapsed
-  | Event.Lp_solved { elapsed; _ } -> m.lp_time <- m.lp_time +. elapsed
-  | Event.Attack_tried { elapsed; _ } -> m.attack_time <- m.attack_time +. elapsed
-  (* lp_warm annotates an lp bound_computed already counted above *)
-  | Event.Bound_reuse _ | Event.Lp_warm _ -> ()
+  (* span events feed the phase split above *)
+  | Event.Bound_computed _ | Event.Lp_solved _ | Event.Attack_tried _
+  | Event.Bound_reuse _ | Event.Lp_warm _ ->
+    ()
   | Event.Resource_sample ({ engine; rss_bytes; open_nodes; _ } as s) ->
     if m.engine = None then m.engine <- Some engine;
     m.frontier <- Stdlib.max m.frontier open_nodes;
@@ -215,14 +212,22 @@ let render ?(width = 72) ?calls_budget m =
      line "budget ETA  %.1fs (%d of %d calls left)"
        (float_of_int remaining /. nps) remaining budget
    | _ -> ());
-  (* phase split *)
-  let total = Float.max m.t_last 1e-9 in
-  let search = Float.max 0.0 (total -. m.appver_time -. m.lp_time -. m.attack_time) in
+  (* phase split: unnested span time against the capacity so far *)
+  let cells = Spans.cells m.spans in
+  let time prefix =
+    snd
+      (Spans.total
+         (fun k -> (not k.nested) && String.starts_with ~prefix k.phase)
+         cells)
+  in
+  let appver = time "appver." and lp = time "lp." and attack = time "attack." in
+  let total = Float.max (Spans.capacity ~wall:m.t_last ~domains:m.domains) 1e-9 in
+  let search = Float.max 0.0 (total -. appver -. lp -. attack) in
   line "";
   line "phase split     appver %5.1f%%   lp %5.1f%%   attack %5.1f%%   search %5.1f%%"
-    (100.0 *. m.appver_time /. total)
-    (100.0 *. m.lp_time /. total)
-    (100.0 *. m.attack_time /. total)
+    (100.0 *. appver /. total)
+    (100.0 *. lp /. total)
+    (100.0 *. attack /. total)
     (100.0 *. search /. total);
   (* memory *)
   (match m.last_sample with

@@ -6,7 +6,9 @@
     point.  Unlike {!Summary} this is approximate by design: it keeps
     running totals, a depth histogram, a recent-window node rate, the
     phase split so far and the resource (memory) curve from
-    [resource_sample] events. *)
+    [resource_sample] events.  The phase split is a {!Spans} model:
+    unnested AppVer, exact-leaf LP and top-level attack time against
+    the capacity, the last event time times the domains seen. *)
 
 type t
 

@@ -9,10 +9,13 @@
      sequential events, "domain N" otherwise);
    - span events that carry [elapsed] (bound_computed, lp_solved,
      lp_warm, attack_tried, verdict_reached, run_finished) become
-     complete ("X") events whose ts is rewound by their duration —
-     exactly the span-window convention [Phases] uses;
+     complete ("X") events whose ts is rewound by their duration, the
+     window [Spans] uses; every event is drawn as it is, so the
+     exporter needs no nesting rule;
    - point events (selections, evaluations, frontier pops, decisions,
      bound_reuse, domain_summary) become thread-scoped instants ("i");
+   - a row's args are its event's fields ([Event.fields]) less those
+     the row already shows as its name, duration or track;
    - resource_sample becomes counter ("C") tracks for RSS/heap bytes,
      node totals and throughput.
 
@@ -21,17 +24,9 @@
    fixed formats, and metadata rows are sorted. *)
 
 module Event = Abonn_obs.Event
+module Json = Abonn_util.Json
 
 let us t = t *. 1e6
-
-(* trace-event "args" payloads reuse the envelope's own JSON encoders *)
-let jstr = Event.json_string
-
-let fnum f =
-  if Float.is_nan f then "\"nan\""
-  else if f = Float.infinity then "\"inf\""
-  else if f = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" f
 
 type row = {
   ph : char;
@@ -40,145 +35,86 @@ type row = {
   ts : float;    (* microseconds *)
   dur : float;   (* microseconds; meaningful for 'X' rows only *)
   tid : int;
-  args : (string * string) list;  (* key -> pre-encoded JSON value *)
+  args : (string * Json.t) list;
 }
 
-let tid_of env = match env.Event.domain with Some d -> d | None -> 0
-
 let rows_of_event env =
-  let t = env.Event.t in
-  let tid = tid_of env in
-  let complete ?(cat = "span") name elapsed args =
+  let t = env.Event.t and event = env.Event.event in
+  let tid = Option.value ~default:0 env.Event.domain in
+  (* the event's own fields, less those the row already shows as its
+     name, duration or track *)
+  let args drop =
+    List.filter (fun (k, _) -> not (List.mem k drop)) (Event.fields event)
+  in
+  let complete ?(cat = "span") name elapsed drop =
     [ { ph = 'X';
         name;
         cat;
         ts = us (Float.max 0.0 (t -. elapsed));
         dur = us (Float.max 0.0 elapsed);
         tid;
-        args } ]
+        args = args ("elapsed" :: "wall" :: drop) } ]
   in
-  let instant ?(cat = "point") name args =
-    [ { ph = 'i'; name; cat; ts = us t; dur = 0.0; tid; args } ]
+  let instant ?(cat = "point") ?(tid = tid) ?(drop = []) () =
+    [ { ph = 'i'; name = Event.name event; cat; ts = us t; dur = 0.0; tid;
+        args = args drop } ]
   in
   let counter name args =
     [ { ph = 'C'; name; cat = "resource"; ts = us t; dur = 0.0; tid; args } ]
   in
-  match env.Event.event with
-  | Event.Run_started { engine; instance } ->
-    instant ~cat:"run" "run_started"
-      [ ("engine", jstr engine); ("instance", jstr instance) ]
-  | Event.Run_finished { engine; instance; verdict; calls; nodes; max_depth; wall } ->
-    complete ~cat:"run" ("run:" ^ engine) wall
-      [ ("instance", jstr instance); ("verdict", jstr verdict);
-        ("calls", string_of_int calls); ("nodes", string_of_int nodes);
-        ("max_depth", string_of_int max_depth) ]
-  | Event.Verdict_reached { engine; verdict; elapsed } ->
-    complete ~cat:"run" ("run:" ^ engine) elapsed [ ("verdict", jstr verdict) ]
-  | Event.Bound_computed { appver; depth; phat; elapsed } ->
-    complete ("appver:" ^ appver) elapsed
-      [ ("depth", string_of_int depth); ("phat", fnum phat) ]
-  | Event.Lp_solved { vars; rows; status; elapsed } ->
-    complete "lp" elapsed
-      [ ("vars", string_of_int vars); ("rows", string_of_int rows);
-        ("status", jstr status) ]
-  | Event.Lp_warm { depth; rows; hit; pivots; fallback; elapsed } ->
-    complete "lp_warm" elapsed
-      [ ("depth", string_of_int depth); ("rows", string_of_int rows);
-        ("hit", if hit then "true" else "false");
-        ("pivots", string_of_int pivots); ("fallback", jstr fallback) ]
-  | Event.Attack_tried { attack; success; elapsed } ->
-    complete ("attack:" ^ attack) elapsed
-      [ ("success", if success then "true" else "false") ]
-  | Event.Node_selected { engine; depth; ucb } ->
-    instant "node_selected"
-      [ ("engine", jstr engine); ("depth", string_of_int depth); ("ucb", fnum ucb) ]
-  | Event.Node_evaluated { engine; depth; gamma; phat; reward } ->
-    instant "node_evaluated"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("gamma", jstr gamma); ("phat", fnum phat); ("reward", fnum reward) ]
-  | Event.Backprop { engine; depth; reward; size } ->
-    instant "backprop"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("reward", fnum reward); ("size", string_of_int size) ]
-  | Event.Frontier_pop { engine; depth; frontier; priority } ->
-    instant "frontier_pop"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("frontier", string_of_int frontier); ("priority", fnum priority) ]
-  | Event.Exact_leaf { engine; depth; verified } ->
-    instant "exact_leaf"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("verified", if verified then "true" else "false") ]
-  | Event.Bound_reuse { appver; depth; from_layer; layers_skipped; clamps } ->
-    instant ~cat:"cache" "bound_reuse"
-      [ ("appver", jstr appver); ("depth", string_of_int depth);
-        ("from_layer", string_of_int from_layer);
-        ("layers_skipped", string_of_int layers_skipped);
-        ("clamps", string_of_int clamps) ]
+  match event with
+  | Event.Run_started _ -> instant ~cat:"run" ()
+  | Event.Run_finished { engine; wall; _ } ->
+    complete ~cat:"run" ("run:" ^ engine) wall [ "engine" ]
+  | Event.Verdict_reached { engine; elapsed; _ } ->
+    complete ~cat:"run" ("run:" ^ engine) elapsed [ "engine" ]
+  | Event.Bound_computed { appver; elapsed; _ } ->
+    complete ("appver:" ^ appver) elapsed [ "appver" ]
+  | Event.Lp_solved { elapsed; _ } -> complete "lp" elapsed []
+  | Event.Lp_warm { elapsed; _ } -> complete "lp_warm" elapsed []
+  | Event.Attack_tried { attack; elapsed; _ } ->
+    complete ("attack:" ^ attack) elapsed [ "attack" ]
+  | Event.Node_selected _ | Event.Node_evaluated _ | Event.Backprop _
+  | Event.Frontier_pop _ | Event.Exact_leaf _ ->
+    instant ()
+  | Event.Bound_reuse _ -> instant ~cat:"cache" ()
   | Event.Resource_sample { rss_bytes; heap_bytes; open_nodes; nodes; nps; _ } ->
-    counter "memory_bytes"
-      [ ("rss", string_of_int rss_bytes); ("heap", string_of_int heap_bytes) ]
-    @ counter "nodes"
-        [ ("total", string_of_int nodes); ("open", string_of_int open_nodes) ]
-    @ counter "nodes_per_sec" [ ("nps", fnum nps) ]
-  | Event.Domain_summary { engine; domain; processed; pushed; stolen; idle } ->
+    counter "memory_bytes" [ ("rss", Int rss_bytes); ("heap", Int heap_bytes) ]
+    @ counter "nodes" [ ("total", Int nodes); ("open", Int open_nodes) ]
+    @ counter "nodes_per_sec" [ ("nps", Float nps) ]
+  | Event.Domain_summary { domain; _ } ->
     (* describes [domain]'s whole run: pin it to that domain's track *)
-    [ { ph = 'i';
-        name = "domain_summary";
-        cat = "par";
-        ts = us t;
-        dur = 0.0;
-        tid = domain;
-        args =
-          [ ("engine", jstr engine); ("processed", string_of_int processed);
-            ("pushed", string_of_int pushed); ("stolen", string_of_int stolen);
-            ("idle", string_of_int idle) ] } ]
-  | Event.Ucb_decision { engine; depth; chosen; sample; _ } ->
-    instant ~cat:"decision" "ucb_decision"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("chosen", jstr chosen); ("sample", string_of_int sample) ]
-  | Event.Branch_decision { engine; depth; kind; choice; candidates; sample; _ } ->
-    instant ~cat:"decision" "branch_decision"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("kind", jstr kind); ("choice", string_of_int choice);
-        ("candidates", string_of_int candidates); ("sample", string_of_int sample) ]
-  | Event.Frontier_decision { engine; depth; frontier; sample; _ } ->
-    instant ~cat:"decision" "frontier_decision"
-      [ ("engine", jstr engine); ("depth", string_of_int depth);
-        ("frontier", string_of_int frontier); ("sample", string_of_int sample) ]
+    instant ~cat:"par" ~tid:domain ~drop:[ "domain" ] ()
+  | Event.Ucb_decision _ | Event.Branch_decision _ | Event.Frontier_decision _ ->
+    instant ~cat:"decision" ()
 
 let row_to_json ~pid r =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"ts\":%.3f" (jstr r.name)
-       (jstr r.cat) r.ph r.ts);
+    (Printf.sprintf "{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"ts\":%.3f"
+       (Json.to_string (Str r.name)) (Json.to_string (Str r.cat)) r.ph r.ts);
   if r.ph = 'X' then Buffer.add_string buf (Printf.sprintf ",\"dur\":%.3f" r.dur);
   Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid r.tid);
   if r.ph = 'i' then Buffer.add_string buf ",\"s\":\"t\"";
   if r.args <> [] then begin
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (jstr k);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf v)
-      r.args;
-    Buffer.add_char buf '}'
+    Buffer.add_string buf ",\"args\":";
+    Json.add buf (Obj r.args)
   end;
   Buffer.add_char buf '}';
   Buffer.contents buf
 
 let metadata_rows ~pid tids =
-  let meta name tid args =
-    Printf.sprintf
-      "{\"name\":%s,\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{%s}}" (jstr name)
-      pid tid args
+  let meta name tid label =
+    Json.to_string
+      (Obj
+         [ ("name", Str name); ("ph", Str "M"); ("pid", Int pid); ("tid", Int tid);
+           ("args", Obj [ ("name", Str label) ]) ])
   in
-  meta "process_name" 0 "\"name\":\"abonn\""
+  meta "process_name" 0 "abonn"
   :: List.map
        (fun tid ->
-         let label = if tid = 0 then "main" else Printf.sprintf "domain %d" tid in
-         meta "thread_name" tid (Printf.sprintf "\"name\":%s" (jstr label)))
+         meta "thread_name" tid
+           (if tid = 0 then "main" else Printf.sprintf "domain %d" tid))
        tids
 
 let to_string events =

@@ -1,9 +1,8 @@
-module Event = Abonn_obs.Event
-
 type span = { calls : int; total : float }
 
 type t = {
   wall : float;
+  domains : int;
   appver : (string * span) list;
   appver_total : span;
   lp : span;
@@ -13,88 +12,43 @@ type t = {
   overhead : float;
 }
 
-let zero = { calls = 0; total = 0.0 }
-let add s d = { calls = s.calls + 1; total = s.total +. d }
-
-let tally tbl name d =
-  Hashtbl.replace tbl name (add (Option.value ~default:zero (Hashtbl.find_opt tbl name)) d)
-
-let sorted tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let of_events events =
-  let appver = Hashtbl.create 8 and attack = Hashtbl.create 8 in
-  let lp = ref zero and lp_in_appver = ref 0.0 in
-  (* Span events are emitted at span end, so children precede their
-     enclosing parent in the stream.  Keep the LP/attack spans that have
-     not yet been claimed by an enclosing window; when the enclosing
-     event arrives, absorb everything inside [t - elapsed, t]. *)
-  let pending_lp = ref [] (* (t, elapsed), unclaimed *) in
-  let pending_attacks = ref [] (* (t, elapsed, name) top-level so far *) in
-  let wall = ref None and t_first = ref None and t_last = ref 0.0 in
-  List.iter
-    (fun env ->
-      let t = env.Event.t in
-      if !t_first = None then t_first := Some t;
-      t_last := t;
-      match env.Event.event with
-      | Event.Bound_computed { appver = name; elapsed; _ } ->
-        tally appver name elapsed;
-        let start = t -. elapsed in
-        let inside, outside =
-          List.partition (fun (lt, _) -> lt >= start && lt <= t) !pending_lp
-        in
-        List.iter (fun (_, d) -> lp_in_appver := !lp_in_appver +. d) inside;
-        pending_lp := outside
-      | Event.Lp_solved { elapsed; _ } ->
-        lp := add !lp elapsed;
-        pending_lp := (t, elapsed) :: !pending_lp
-      | Event.Attack_tried { attack = name; elapsed; _ } ->
-        tally attack name elapsed;
-        let start = t -. elapsed in
-        let nested, top =
-          List.partition (fun (at, _, _) -> at >= start && at <= t) !pending_attacks
-        in
-        ignore nested;
-        pending_attacks := (t, elapsed, name) :: top
-      | Event.Verdict_reached { elapsed; _ } -> wall := Some elapsed
-      | Event.Run_finished { wall = w; _ } -> if !wall = None then wall := Some w
-      | _ -> ())
-    events;
-  let wall =
-    match !wall with
-    | Some w -> w
-    | None -> !t_last -. Option.value ~default:!t_last !t_first
+  let run = Summary.of_events events and cells = Spans.of_events events in
+  let sum keep =
+    let calls, total = Spans.total keep cells in
+    { calls; total }
   in
-  let appver = sorted appver and attack = sorted attack in
-  let total spans =
-    List.fold_left
-      (fun acc (_, s) -> { calls = acc.calls + s.calls; total = acc.total +. s.total })
-      zero spans
+  let is prefix (k : Spans.key) = String.starts_with ~prefix k.phase in
+  (* per-name totals of the phases under [prefix], sorted by name *)
+  let by_name prefix =
+    let n = String.length prefix in
+    List.filter_map
+      (fun (c : Spans.cell) -> if is prefix c.key then Some c.key.phase else None)
+      cells
+    |> List.sort_uniq String.compare
+    |> List.map (fun ph ->
+           (String.sub ph n (String.length ph - n), sum (fun k -> k.phase = ph)))
   in
-  let appver_total = total appver in
-  let attack_total =
-    List.fold_left
-      (fun acc (_, d, _) -> { calls = acc.calls + 1; total = acc.total +. d })
-      zero !pending_attacks
-  in
-  let lp_outside = Float.max 0.0 (!lp.total -. !lp_in_appver) in
-  let overhead =
-    Float.max 0.0 (wall -. appver_total.total -. lp_outside -. attack_total.total)
-  in
-  { wall;
-    appver;
+  let appver_total = sum (is "appver.") and lp = sum (is "lp.") in
+  let lp_in_appver = (sum (fun k -> k.nested && is "lp." k)).total in
+  let attack_total = sum (fun k -> (not k.nested) && is "attack." k) in
+  let capacity = Spans.capacity ~wall:run.Summary.wall ~domains:run.Summary.domains in
+  let lp_outside = Float.max 0.0 (lp.total -. lp_in_appver) in
+  { wall = run.Summary.wall;
+    domains = run.Summary.domains;
+    appver = by_name "appver.";
     appver_total;
-    lp = !lp;
-    lp_in_appver = !lp_in_appver;
-    attack;
+    lp;
+    lp_in_appver;
+    attack = by_name "attack.";
     attack_total;
-    overhead }
+    overhead =
+      Float.max 0.0 (capacity -. appver_total.total -. lp_outside -. attack_total.total) }
 
 let to_string p =
   let buf = Buffer.create 512 in
-  let pct d = if p.wall > 0.0 then 100.0 *. d /. p.wall else 0.0 in
+  let capacity = Spans.capacity ~wall:p.wall ~domains:p.domains in
+  let pct d = if capacity > 0.0 then 100.0 *. d /. capacity else 0.0 in
   let line name calls total =
     Buffer.add_string buf
       (Printf.sprintf "  %-24s %8s %12.6f %7.1f%%\n" name
@@ -102,7 +56,8 @@ let to_string p =
          total (pct total))
   in
   Buffer.add_string buf
-    (Printf.sprintf "phase breakdown (wall %.6f s)\n" p.wall);
+    (Printf.sprintf "phase breakdown (wall %.6f s%s)\n" p.wall
+       (Spans.domains_suffix p.domains));
   Buffer.add_string buf
     (Printf.sprintf "  %-24s %8s %12s %8s\n" "phase" "calls" "seconds" "wall");
   List.iter (fun (name, s) -> line ("appver." ^ name) s.calls s.total) p.appver;

@@ -5,7 +5,8 @@
    cost" on its own — so the file can be grepped, diffed across
    branches and joined by commit without any tooling. *)
 
-module Event = Abonn_obs.Event
+module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 module Provenance = Abonn_util.Provenance
 
 let schema_version = 3
@@ -42,30 +43,29 @@ let make ?ts ?commit ?(peak_rss_bytes = -1) ?(domains = 1)
     peak_rss_bytes }
 
 let to_json r =
+  let q s = Json.to_string (Str s) in
   Printf.sprintf
     "{\"schema\":%d,\"ts\":%s,\"commit\":%s,\"engine\":%s,\"model\":%s,\
      \"instance\":%s,\"seed\":%d,\"domains\":%d,\"source_format\":%s,\
      \"verdict\":%s,\"wall\":%.6f,\
      \"calls\":%d,\"nodes\":%d,\"max_depth\":%d,\"peak_rss_bytes\":%d}"
-    r.schema (Event.json_string r.ts) (Event.json_string r.commit)
-    (Event.json_string r.engine) (Event.json_string r.model)
-    (Event.json_string r.instance) r.seed r.domains
-    (Event.json_string r.source_format)
-    (Event.json_string r.verdict) r.wall r.calls r.nodes r.max_depth
-    r.peak_rss_bytes
+    r.schema (q r.ts) (q r.commit) (q r.engine) (q r.model) (q r.instance)
+    r.seed r.domains (q r.source_format) (q r.verdict) r.wall r.calls r.nodes
+    r.max_depth r.peak_rss_bytes
 
-let of_json line =
-  match Event.parse_fields line with
-  | Error msg -> Error msg
-  | Ok fields ->
-    let find name = List.assoc_opt name fields in
-    let str name = Option.bind (find name) Event.field_string in
-    let int name = Option.bind (find name) Event.field_int in
-    let flt name = Option.bind (find name) Event.field_float in
+let of_json ?(source = "<string>") ?(line = 1) text =
+  let malformed (e : Parse_error.t) =
+    Error (Parse_error.to_string { e with msg = "malformed record: " ^ e.msg })
+  in
+  match Json.of_string ~source ~line text with
+  | exception Parse_error.Error e -> malformed e
+  | json ->
+    let get conv name = Option.bind (Json.member name json) conv in
+    let str = get Json.as_string and int = get Json.as_int in
     (match
        (int "schema", str "ts", str "commit", str "engine", str "model",
-        str "instance", int "seed", str "verdict", flt "wall", int "calls",
-        int "nodes", int "max_depth", int "peak_rss_bytes")
+        str "instance", int "seed", str "verdict", get Json.as_float "wall",
+        int "calls", int "nodes", int "max_depth", int "peak_rss_bytes")
      with
      | ( Some schema, Some ts, Some commit, Some engine, Some model,
          Some instance, Some seed, Some verdict, Some wall, Some calls,
@@ -79,7 +79,10 @@ let of_json line =
        Ok { schema; ts; commit; engine; model; instance; seed; domains;
             source_format; verdict; wall; calls; nodes; max_depth;
             peak_rss_bytes }
-     | _ -> Error "registry record: missing or mistyped field")
+     | _ ->
+       malformed
+         { source; pos = Line { line; col = 1 }; token = "";
+           msg = "missing or mistyped field" })
 
 let default_path = Filename.concat "results" "registry.jsonl"
 
@@ -108,7 +111,7 @@ let load ?(path = default_path) () =
       | exception End_of_file -> ()
       | "" -> go (line_no + 1)
       | line ->
-        (match of_json line with
+        (match of_json ~source:path ~line:line_no line with
          | Ok r -> records := r :: !records
          | Error msg -> errors := (line_no, msg) :: !errors);
         go (line_no + 1)
@@ -139,8 +142,7 @@ let lint_issue_pos = function
   | Lint_unstamped { file; line; _ } -> (file, line)
 
 let lint_issue_to_string = function
-  | Lint_malformed { file; line; msg } ->
-    Printf.sprintf "%s:%d: malformed record: %s" file line msg
+  | Lint_malformed { msg; _ } -> msg
   | Lint_duplicate { file; line; first_file; first_line } ->
     Printf.sprintf "%s:%d: duplicate of %s:%d" file line first_file first_line
   | Lint_unstamped { file; line; field } ->
@@ -184,7 +186,7 @@ let lint paths =
       ignore
         (fold_lines file ~init:() ~f:(fun () line_no line ->
              incr lines;
-             match of_json line with
+             match of_json ~source:file ~line:line_no line with
              | Error msg ->
                issues := Lint_malformed { file; line = line_no; msg } :: !issues
              | Ok r ->

@@ -60,9 +60,13 @@ val make :
 val to_json : record -> string
 (** One flat JSON object, no trailing newline. *)
 
-val of_json : string -> (record, string) result
+val of_json : ?source:string -> ?line:int -> string -> (record, string) result
 (** Parses current (schema 3) and legacy lines: schema-1 lines get
-    [domains = 1], schema-1/2 lines get [source_format = "native"]. *)
+    [domains = 1], schema-1/2 lines get [source_format = "native"].
+    [Error] carries a positioned diagnostic,
+    [SOURCE:LINE:COL: malformed record: ...], with [source] (default
+    ["<string>"]) and [line] (default [1]) naming where the text came
+    from. *)
 
 val default_path : string
 (** ["results/registry.jsonl"], relative to the working directory. *)
@@ -72,7 +76,8 @@ val append : ?path:string -> record -> unit
 
 val load : ?path:string -> unit -> record list * (int * string) list
 (** All parseable records in file order, plus [(line, message)] pairs
-    for lines that failed to parse.  A missing file is empty, not an
+    for lines that failed to parse (messages positioned as by
+    {!of_json}).  A missing file is empty, not an
     error. *)
 
 val fold_lines : string -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
@@ -92,6 +97,7 @@ val fold_lines : string -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
 
 type lint_issue =
   | Lint_malformed of { file : string; line : int; msg : string }
+      (** [msg] is {!of_json}'s positioned diagnostic. *)
   | Lint_duplicate of {
       file : string;
       line : int;

@@ -1,164 +1,12 @@
 (* Bench baseline comparison behind [abonn_trace bench]: load two
    BENCH_bab_nodes.json files (committed baseline vs fresh run) and
    flag per-instance and geomean throughput regressions beyond a
-   threshold.  Bench files are nested one level ({"rows": {name:
-   {...}}}), which the flat trace parser cannot express, so this module
-   carries its own small JSON reader; it also accepts the pre-stamp
-   flat layout (rows at top level, no schema/commit/date) so the gate
-   works against historical baselines. *)
+   threshold.  Bench files nest one level ({"rows": {name: {...}}});
+   the pre-stamp flat layout (rows at top level, no schema/commit/date)
+   is accepted too, so the gate works against historical baselines. *)
 
-(* --- minimal JSON reader (objects, arrays, strings, numbers, bools,
-   null) --- also the structural validator behind the Perfetto-export
-   tests, which need arrays the flat trace parser cannot express *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Bad of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "offset %d: %s" !pos msg)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-         | Some 't' -> Buffer.add_char buf '\t'; advance ()
-         | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-         | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-         | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-         | Some (('"' | '\\' | '/') as c) -> Buffer.add_char buf c; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           pos := !pos + 4;
-           (* bench files are ASCII; keep non-ASCII escapes lossy-simple *)
-           if code < 128 then Buffer.add_char buf (Char.chr code)
-           else Buffer.add_char buf '?'
-         | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_json_string s =
-  match parse_json s with v -> Ok v | exception Bad msg -> Error msg
+module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 
 (* --- bench file model --- *)
 
@@ -176,39 +24,33 @@ type bench = {
   rows : (string * row) list;  (* file order *)
 }
 
-let obj_num fields name =
-  match List.assoc_opt name fields with Some (Num f) -> Some f | _ -> None
+let num v name = Option.bind (Json.member name v) Json.as_float
 
-let obj_str fields name =
-  match List.assoc_opt name fields with Some (Str s) -> Some s | _ -> None
-
-let row_of_json = function
-  | Obj fields ->
-    (match obj_num fields "nodes_per_sec_cached" with
-     | Some nps_cached ->
+let row_of_json v =
+  match num v "nodes_per_sec_cached" with
+  | Some nps_cached ->
+    Some
+      { nps_cached;
+        nps_uncached = num v "nodes_per_sec_uncached";
+        speedup = num v "speedup";
+        peak_rss_bytes = Option.map int_of_float (num v "peak_rss_bytes") }
+  | None ->
+    (* kernel bench rows (BENCH_kernels.json) carry ns_per_run;
+       expose them as runs/sec so the higher-is-better comparison
+       below applies unchanged *)
+    (match num v "ns_per_run" with
+     | Some ns when ns > 0.0 ->
        Some
-         { nps_cached;
-           nps_uncached = obj_num fields "nodes_per_sec_uncached";
-           speedup = obj_num fields "speedup";
-           peak_rss_bytes = Option.map int_of_float (obj_num fields "peak_rss_bytes") }
-     | None ->
-       (* kernel bench rows (BENCH_kernels.json) carry ns_per_run;
-          expose them as runs/sec so the higher-is-better comparison
-          below applies unchanged *)
-       (match obj_num fields "ns_per_run" with
-        | Some ns when ns > 0.0 ->
-          Some
-            { nps_cached = 1e9 /. ns;
-              nps_uncached = None;
-              speedup = None;
-              peak_rss_bytes = None }
-        | Some _ | None -> None))
-  | _ -> None
+         { nps_cached = 1e9 /. ns;
+           nps_uncached = None;
+           speedup = None;
+           peak_rss_bytes = None }
+     | Some _ | None -> None)
 
-let load_string text =
-  match parse_json text with
-  | exception Bad msg -> Error msg
-  | Obj fields ->
+let load_string ?(source = "<string>") text =
+  match Json.of_string ~source text with
+  | exception Parse_error.Error e -> Error (Parse_error.to_string e)
+  | Obj fields as v ->
     (* stamped layout nests the instances under "rows"; the pre-stamp
        layout has them at top level next to "geomean_speedup" *)
     let row_fields =
@@ -216,18 +58,18 @@ let load_string text =
     in
     let rows =
       List.filter_map
-        (fun (name, v) ->
-          match row_of_json v with Some r -> Some (name, r) | None -> None)
+        (fun (name, v) -> Option.map (fun r -> (name, r)) (row_of_json v))
         row_fields
     in
-    if rows = [] then Error "no bench rows (no nodes_per_sec_cached fields)"
+    if rows = [] then
+      Error (source ^ ": no bench rows (no nodes_per_sec_cached fields)")
     else
       Ok
-        { commit = obj_str fields "commit";
-          date = obj_str fields "date";
-          geomean_speedup = obj_num fields "geomean_speedup";
+        { commit = Option.bind (Json.member "commit" v) Json.as_string;
+          date = Option.bind (Json.member "date" v) Json.as_string;
+          geomean_speedup = num v "geomean_speedup";
           rows }
-  | _ -> Error "top-level value is not an object"
+  | _ -> Error (source ^ ": top-level value is not an object")
 
 let load_file path =
   match open_in path with
@@ -237,9 +79,7 @@ let load_file path =
       Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
       really_input_string ic (in_channel_length ic)
     in
-    (match load_string text with
-     | Ok b -> Ok b
-     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+    load_string ~source:path text
 
 (* --- comparison --- *)
 

@@ -9,25 +9,9 @@
     bench files ([BENCH_kernels.json], rows carrying [ns_per_run]) are
     accepted too: those rows are exposed as runs/sec in [nps_cached],
     so the same higher-is-better gate covers the kernel
-    micro-benchmarks ([kernel_lp_warm] among them). *)
-
-(** {2 Minimal JSON reader}
-
-    Bench files nest one level and the Perfetto exporter emits arrays,
-    neither of which the flat trace-line parser can express, so this
-    module carries its own small reader.  Exported so tests can
-    structurally validate whole JSON documents (e.g. a Perfetto
-    export). *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-val parse_json_string : string -> (json, string) result
+    micro-benchmarks ([kernel_lp_warm] among them).  Files are read
+    through {!Abonn_util.Json}; a malformed one is a positioned error,
+    never an exception. *)
 
 type row = {
   nps_cached : float;
@@ -45,10 +29,14 @@ type bench = {
   rows : (string * row) list;  (** file order *)
 }
 
-val load_string : string -> (bench, string) result
+val load_string : ?source:string -> string -> (bench, string) result
+(** Read a bench file's text through {!Abonn_util.Json}.  [Error]
+    names [source] (default ["<string>"]) once; a JSON syntax error is
+    positioned, [SOURCE:LINE:COL: message].  Never raises. *)
 
 val load_file : string -> (bench, string) result
-(** Errors carry the path; a missing file is an error. *)
+(** {!load_string} with the path as [source]; a missing file is an
+    error. *)
 
 type verdict = {
   name : string;

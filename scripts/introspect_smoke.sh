@@ -10,9 +10,14 @@
 # directory).  One more case runs bestfirst on the LP AppVer at a small
 # budget (OUT_DIR/intro-bestfirst-lp.jsonl).  The summary of each trace
 # must print no MISMATCH, name the engine, and show the verdict, AppVer
-# calls, tree nodes and max depth abonn_cli printed.  Exits non-zero on
-# the first disagreement.  Runs the binaries through `dune exec` from
-# the repository root.
+# calls, tree nodes and max depth abonn_cli printed.  A last bestfirst
+# run on two domains (OUT_DIR/intro-bestfirst-d2.jsonl) skips that
+# comparison: its interleaving depends on scheduling.  On every trace,
+# `phases`, `hotspots --flame`, `explain` and `export --perfetto` must
+# exit 0 and print something; on the abonn trace, `explain` must report
+# wasted work and `hotspots` must rank its rows.  Exits non-zero on the
+# first failure.  Runs the binaries through `dune exec` from the
+# repository root.
 
 set -eu
 
@@ -48,7 +53,43 @@ check() {
   fi
 }
 
+# tools NAME: the trace tools built on the shared JSON codec and span
+# model run on OUT_DIR/intro-NAME.jsonl
+tools() {
+  trace="$out/intro-$1.jsonl"
+  for cmd in phases "hotspots --flame" explain "export --perfetto"; do
+    # $cmd is split into subcommand and flag on purpose
+    # shellcheck disable=SC2086
+    if ! text=$(dune exec bin/abonn_trace.exe -- $cmd "$trace"); then
+      echo "$1: abonn_trace $cmd failed"
+      exit 1
+    fi
+    if [ -z "$text" ]; then
+      echo "$1: abonn_trace $cmd printed nothing"
+      exit 1
+    fi
+  done
+}
+
 for engine in bab-baseline bestfirst inputsplit abonn; do
   check "$engine" "$engine" 700
+  tools "$engine"
 done
 check bestfirst-lp bestfirst 20 --appver lp
+tools bestfirst-lp
+
+dune exec bin/abonn_cli.exe -- \
+  --model mnist_l2 --index 3 --factor 1.325 --calls 700 \
+  --domains 2 --no-flight --trace "$out/intro-bestfirst-d2.jsonl" --introspect \
+  --engine bestfirst
+tools bestfirst-d2
+
+abonn="$out/intro-abonn.jsonl"
+if ! dune exec bin/abonn_trace.exe -- explain "$abonn" | grep -q "wasted work"; then
+  echo "abonn: explain reports no wasted work"
+  exit 1
+fi
+if ! dune exec bin/abonn_trace.exe -- hotspots "$abonn" | grep -q "rank"; then
+  echo "abonn: hotspots printed no ranked table"
+  exit 1
+fi

@@ -7,8 +7,9 @@ module Registry = Abonn_trace.Registry
 module Campaign = Abonn_trace.Campaign
 module Reader = Abonn_trace.Reader
 module Perfetto = Abonn_trace.Perfetto
-module Regress = Abonn_trace.Regress
 module Event = Abonn_obs.Event
+module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 
 let fx name = Filename.concat (Filename.concat "fixtures" "campaign") name
 let reg_a = fx "registry_a.jsonl"
@@ -198,32 +199,30 @@ let test_perfetto_introspect () =
   in
   let a = Perfetto.to_string events in
   Alcotest.(check string) "deterministic" a (Perfetto.to_string events);
-  match Regress.parse_json_string a with
-  | Error msg -> Alcotest.failf "export is not valid JSON: %s" msg
-  | Ok (Regress.Obj fields) ->
+  match Json.of_string a with
+  | exception Parse_error.Error e ->
+    Alcotest.failf "export is not valid JSON: %s" (Parse_error.to_string e)
+  | Json.Obj fields ->
     (match List.assoc_opt "traceEvents" fields with
-     | Some (Regress.Arr rows) ->
+     | Some (Json.Arr rows) ->
        Alcotest.(check bool) "non-trivial event count" true (List.length rows > 100);
        List.iter
          (function
-           | Regress.Obj row ->
+           | Json.Obj row ->
              Alcotest.(check bool) "every row has name/ph/pid" true
                (List.mem_assoc "name" row && List.mem_assoc "ph" row
                 && List.mem_assoc "pid" row);
-             (match List.assoc_opt "ts" row with
-              | Some (Regress.Num ts) ->
+             (match Option.map Json.as_float (List.assoc_opt "ts" row) with
+              | Some (Some ts) ->
                 Alcotest.(check bool) "timestamps never negative" true (ts >= 0.0)
-              | Some _ -> Alcotest.fail "ts must be a number"
+              | Some None -> Alcotest.fail "ts must be a number"
               | None -> () (* metadata rows carry no ts *))
            | _ -> Alcotest.fail "every trace event must be an object")
          rows;
        let phs =
          List.filter_map
            (function
-             | Regress.Obj row ->
-               (match List.assoc_opt "ph" row with
-                | Some (Regress.Str s) -> Some s
-                | _ -> None)
+             | Json.Obj row -> Option.bind (List.assoc_opt "ph" row) Json.as_string
              | _ -> None)
            rows
        in
@@ -231,7 +230,7 @@ let test_perfetto_introspect () =
        Alcotest.(check bool) "has spans, instants, counters and metadata" true
          (has "X" && has "i" && has "C" && has "M")
      | _ -> Alcotest.fail "traceEvents must be an array")
-  | Ok _ -> Alcotest.fail "export must be a JSON object"
+  | _ -> Alcotest.fail "export must be a JSON object"
 
 let test_trace_attribution_dominant () =
   let base, _ = Reader.read_file (Filename.concat "fixtures" "golden.jsonl") in

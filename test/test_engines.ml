@@ -11,6 +11,8 @@
 
 module Rng = Abonn_util.Rng
 module Budget = Abonn_util.Budget
+module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 module Obs = Abonn_obs.Obs
 module Sink = Abonn_obs.Sink
 module Event = Abonn_obs.Event
@@ -81,9 +83,10 @@ let engines =
 let timing_fields = [ "seq"; "t"; "elapsed"; "wall"; "cpu" ]
 
 let untimed env =
-  match Event.parse_fields (Event.to_json env) with
-  | Error msg -> Alcotest.failf "unparsable event: %s" msg
-  | Ok fields ->
+  match Json.of_string (Event.to_json env) with
+  | exception Parse_error.Error e ->
+    Alcotest.failf "unparsable event: %s" (Parse_error.to_string e)
+  | Json.Obj fields ->
     String.concat ","
       (List.map
          (fun (k, v) ->
@@ -91,13 +94,12 @@ let untimed env =
              if List.mem k timing_fields then "0"
              else
                match v with
-               | Event.S s -> Event.json_string s
-               | Event.I i -> string_of_int i
-               | Event.F f -> Printf.sprintf "%h" f
-               | Event.B b -> string_of_bool b
+               | Json.Float f -> Printf.sprintf "%h" f
+               | v -> Json.to_string v
            in
            k ^ "=" ^ v)
          fields)
+  | _ -> Alcotest.fail "event is not an object"
 
 let counts names =
   let tbl = Hashtbl.create 16 in

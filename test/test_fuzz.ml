@@ -10,7 +10,7 @@ module Gen = Abonn_check.Gen
 module Oracle = Abonn_check.Oracle
 module Shrink = Abonn_check.Shrink
 module Finding = Abonn_check.Finding
-module Campaign = Abonn_check.Campaign
+module Fuzz_campaign = Abonn_check.Fuzz_campaign
 
 let corpus_dir = "fixtures/fuzz"
 let manifest = Filename.concat corpus_dir "corpus.txt"
@@ -48,7 +48,7 @@ let test_corpus_replays () =
   List.iter
     (fun (file, family, seed) ->
       let path = Filename.concat corpus_dir file in
-      match Campaign.replay_file ~seed ~family path with
+      match Fuzz_campaign.replay_file ~seed ~family path with
       | Oracle.Pass -> ()
       | Oracle.Fail f ->
         Alcotest.failf "%s: %s failed %s: %s" file (Oracle.family_name family)
@@ -147,12 +147,12 @@ let test_finding_json () =
 (* A tiny end-to-end campaign on the PR path: a handful of cases across
    every family must come back clean. *)
 let test_small_campaign_clean () =
-  let cfg = { Campaign.default with Campaign.seed = 13; cases = 8 } in
-  let outcome = Campaign.run cfg in
-  Alcotest.(check int) "cases" 8 outcome.Campaign.cases_run;
+  let cfg = { Fuzz_campaign.default with Fuzz_campaign.seed = 13; cases = 8 } in
+  let outcome = Fuzz_campaign.run cfg in
+  Alcotest.(check int) "cases" 8 outcome.Fuzz_campaign.cases_run;
   Alcotest.(check int) "checks" (8 * List.length Oracle.all_families)
-    outcome.Campaign.checks_run;
-  (match outcome.Campaign.findings with
+    outcome.Fuzz_campaign.checks_run;
+  (match outcome.Fuzz_campaign.findings with
    | [] -> ()
    | f :: _ ->
      Alcotest.failf "unexpected finding: %s"

@@ -20,6 +20,8 @@ module Obs = Abonn_obs.Obs
 module Reader = Abonn_trace.Reader
 module Tree = Abonn_trace.Tree
 module Phases = Abonn_trace.Phases
+module Hotspots = Abonn_trace.Hotspots
+module Spans = Abonn_trace.Spans
 module Curve = Abonn_trace.Curve
 module Summary = Abonn_trace.Summary
 module Diff = Abonn_trace.Diff
@@ -202,6 +204,118 @@ let test_phases_lp_inside_appver () =
   let p = Phases.of_events events in
   check_float "lp claimed by appver" 0.004 p.Phases.lp_in_appver;
   check_float "overhead excludes nested lp" (0.02 -. 0.006) p.Phases.overhead
+
+(* A composite bracket (one abonn_fuzz case) holds whole engine runs:
+   the segment's wall is the bracket's run_finished, as in summary, not
+   the last inner verdict. *)
+let test_phases_composite_wall () =
+  let env i t event = { Event.seq = i; t; domain = None; event } in
+  let bound i t elapsed =
+    env i t (Event.Bound_computed { appver = "deeppoly"; depth = 0; phat = -0.1; elapsed })
+  in
+  let verdict i t engine elapsed =
+    env i t (Event.Verdict_reached { engine; verdict = "verified"; elapsed })
+  in
+  let events =
+    [ env 1 0.0 (Event.Run_started { engine = "fuzz"; instance = "case-0" });
+      bound 2 0.010 0.008;
+      verdict 3 0.011 "bab-baseline" 0.009;
+      bound 4 0.030 0.015;
+      verdict 5 0.031 "bestfirst" 0.016;
+      env 6 0.040
+        (Event.Run_finished
+           { engine = "fuzz"; instance = "case-0"; verdict = "pass"; calls = 2;
+             nodes = 0; max_depth = 0; wall = 0.04 }) ]
+  in
+  let wall = (Summary.of_events events).Summary.wall in
+  let p = Phases.of_events events and h = Hotspots.of_events events in
+  check_float "summary takes the bracket's wall" 0.04 wall;
+  check_float "phases wall" wall p.Phases.wall;
+  check_float "hotspots wall" wall h.Hotspots.wall;
+  Alcotest.(check bool) "attributed time fits the wall" true
+    (p.Phases.appver_total.Phases.total <= p.Phases.wall);
+  check_float "phases overhead is the rest" (0.04 -. 0.023) p.Phases.overhead;
+  check_float "hotspots overhead is the rest" (0.04 -. 0.023) h.Hotspots.overhead
+
+(* Two domains: domain 1's LP ends inside domain 0's AppVer window, but
+   spans nest only within a domain, so it is exact-leaf LP at domain 1's
+   next leaf; every share is of the capacity, wall x domains. *)
+let test_phases_parallel_domains () =
+  let env i t domain event = { Event.seq = i; t; domain; event } in
+  let events =
+    [ env 1 0.010 (Some 1)
+        (Event.Lp_solved { vars = 2; rows = 2; status = "optimal"; elapsed = 0.004 });
+      env 2 0.012 (Some 0)
+        (Event.Bound_computed { appver = "deeppoly"; depth = 1; phat = -0.1; elapsed = 0.006 });
+      env 3 0.013 (Some 0) (Event.Exact_leaf { engine = "bestfirst"; depth = 2; verified = true });
+      env 4 0.014 (Some 1) (Event.Exact_leaf { engine = "bestfirst"; depth = 3; verified = true });
+      env 5 0.020 None
+        (Event.Verdict_reached { engine = "bestfirst"; verdict = "verified"; elapsed = 0.02 }) ]
+  in
+  let p = Phases.of_events events and h = Hotspots.of_events events in
+  check_float "no LP nested across domains" 0.0 p.Phases.lp_in_appver;
+  let rows prefix =
+    List.fold_left
+      (fun acc (r : Hotspots.row) ->
+        if String.starts_with ~prefix r.Hotspots.phase then acc +. r.Hotspots.seconds else acc)
+      0.0 h.Hotspots.rows
+  in
+  check_float "appver rows = phases appver" p.Phases.appver_total.Phases.total (rows "appver.");
+  check_float "lp rows = phases exact LP"
+    (p.Phases.lp.Phases.total -. p.Phases.lp_in_appver)
+    (rows "lp.");
+  check_float "attack rows = phases top-level attacks" p.Phases.attack_total.Phases.total
+    (rows "attack.");
+  Alcotest.(check bool) "LP at its own domain's leaf depth" true
+    (List.exists
+       (fun (r : Hotspots.row) -> r.Hotspots.phase = "lp.exact" && r.Hotspots.depth = 3)
+       h.Hotspots.rows);
+  check_float "overhead of the capacity" (2.0 *. 0.02 -. 0.006 -. 0.004) p.Phases.overhead;
+  check_contains "phases header names the domains" "\xc3\x97 2 domains" (Phases.to_string p);
+  check_contains "hotspots header names the domains" "\xc3\x97 2 domains"
+    (Hotspots.to_string h)
+
+(* --- spans --- *)
+
+(* The model's rules on one sequential stream; a snapshot settles the
+   spans still open without closing them. *)
+let test_spans_rules () =
+  let env i t event = { Event.seq = i; t; domain = None; event } in
+  let bound i t depth elapsed =
+    env i t (Event.Bound_computed { appver = "deeppoly"; depth; phat = 0.0; elapsed })
+  in
+  let attack i t name elapsed =
+    env i t (Event.Attack_tried { attack = name; success = false; elapsed })
+  in
+  let m = Spans.create () in
+  List.iter (Spans.feed m)
+    [ bound 1 0.010 2 0.004;
+      env 2 0.010
+        (Event.Bound_reuse
+           { appver = "deeppoly"; depth = 2; from_layer = 3; layers_skipped = 2; clamps = 0 });
+      bound 3 0.020 3 0.005;
+      env 4 0.025 (Event.Lp_solved { vars = 2; rows = 2; status = "optimal"; elapsed = 0.002 });
+      env 5 0.026 (Event.Exact_leaf { engine = "bfs"; depth = 4; verified = true });
+      attack 6 0.030 "pgd" 0.003;
+      attack 7 0.031 "best-effort" 0.004 ];
+  let cells = Spans.cells m in
+  let cell phase depth layer nested =
+    List.find_map
+      (fun (c : Spans.cell) ->
+        if c.Spans.key = { Spans.phase; depth; layer; nested } then Some (c.calls, c.seconds)
+        else None)
+      cells
+  in
+  let check what expected got =
+    Alcotest.(check (option (pair int (float 1e-12)))) what (Some expected) got
+  in
+  check "warm bound at its reuse layer" (1, 0.004) (cell "appver.deeppoly" 2 3 false);
+  check "bound without reuse is cold" (1, 0.005) (cell "appver.deeppoly" 3 0 false);
+  check "LP at the next leaf's depth" (1, 0.002) (cell "lp.exact" 4 (-1) false);
+  check "pgd nested in best-effort" (1, 0.003) (cell "attack.pgd" (-1) (-1) true);
+  check "open top-level attack" (1, 0.004) (cell "attack.best-effort" (-1) (-1) false);
+  Alcotest.(check int) "five cells" 5 (List.length cells);
+  Alcotest.(check bool) "a snapshot leaves the model as it was" true (Spans.cells m = cells)
 
 (* --- curve --- *)
 
@@ -669,6 +783,13 @@ let test_monitor_aggregates () =
       Alcotest.(check bool) (Printf.sprintf "render mentions %S" affix) true (go 0))
     [ "abonn"; "verified"; "rss curve"; "depth histogram"; "phase split" ]
 
+(* best-effort encloses the pgd attack it tried: the live phase split
+   counts the pair once, 4 ms of the 64 ms. *)
+let test_monitor_nested_attack_once () =
+  let m = Monitor.create () in
+  List.iter (Monitor.feed m) (read_clean golden);
+  check_contains "attack share" "attack   6.2%" (Monitor.render m)
+
 (* --- registry --- *)
 
 let test_registry_round_trip () =
@@ -744,6 +865,19 @@ let load_ok text =
   match Regress.load_string text with
   | Ok b -> b
   | Error msg -> Alcotest.fail msg
+
+(* A malformed bench file is a positioned error, never an exception. *)
+let test_regress_errors_positioned () =
+  List.iter
+    (fun (text, expected) ->
+      match Regress.load_string text with
+      | Ok _ -> Alcotest.failf "%S must not load" text
+      | Error msg -> check_contains text expected msg
+      | exception e -> Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    [ ( {|{"rows": {"a\uZZZZ": {"nodes_per_sec_cached": 1}}}|},
+        "<string>:1:13: bad \\u escape" );
+      ( "{\"rows\": {\"a\":\n  {\"nodes_per_sec_cached\": 1}}",
+        "<string>:2:31: unexpected end of input" ) ]
 
 let test_regress_both_layouts () =
   let stamped = load_ok (stamped_bench 3000.0) in
@@ -854,8 +988,11 @@ let suite =
     ( "trace.phases",
       [ Alcotest.test_case "golden totals" `Quick test_phases_golden;
         Alcotest.test_case "cached golden totals" `Quick test_phases_golden_cached;
-        Alcotest.test_case "lp inside appver window" `Quick test_phases_lp_inside_appver
+        Alcotest.test_case "lp inside appver window" `Quick test_phases_lp_inside_appver;
+        Alcotest.test_case "composite bracket wall" `Quick test_phases_composite_wall;
+        Alcotest.test_case "parallel nests per domain" `Quick test_phases_parallel_domains
       ] );
+    ("trace.spans", [ Alcotest.test_case "model rules" `Quick test_spans_rules ]);
     ( "trace.curve", [ Alcotest.test_case "golden curve" `Quick test_curve_golden ] );
     ( "trace.summary",
       [ Alcotest.test_case "golden summary" `Quick test_summary_golden;
@@ -887,13 +1024,17 @@ let suite =
         Alcotest.test_case "resume at offset" `Quick test_tail_resume_at_offset
       ] );
     ( "trace.monitor",
-      [ Alcotest.test_case "aggregates and renders" `Quick test_monitor_aggregates ] );
+      [ Alcotest.test_case "aggregates and renders" `Quick test_monitor_aggregates;
+        Alcotest.test_case "nested attack counted once" `Quick
+          test_monitor_nested_attack_once
+      ] );
     ( "trace.registry",
       [ Alcotest.test_case "round trip" `Quick test_registry_round_trip;
         Alcotest.test_case "append and load" `Quick test_registry_append_load
       ] );
     ( "trace.regress",
-      [ Alcotest.test_case "both layouts parse" `Quick test_regress_both_layouts;
+      [ Alcotest.test_case "errors positioned" `Quick test_regress_errors_positioned;
+        Alcotest.test_case "both layouts parse" `Quick test_regress_both_layouts;
         Alcotest.test_case "kernel ns_per_run layout" `Quick test_regress_kernel_layout;
         Alcotest.test_case "gate pass and fail" `Quick test_regress_gate_pass_and_fail;
         Alcotest.test_case "missing row fails" `Quick test_regress_missing_row_fails;

@@ -1,11 +1,14 @@
 (* Tests for Abonn_util: Rng determinism and distribution sanity, Stats
-   quantiles/histograms, Heap ordering, Budget accounting, Table layout. *)
+   quantiles/histograms, Heap ordering, Budget accounting, Table layout,
+   the JSON codec's wire form and positioned errors. *)
 
 module Rng = Abonn_util.Rng
 module Stats = Abonn_util.Stats
 module Heap = Abonn_util.Heap
 module Budget = Abonn_util.Budget
 module Table = Abonn_util.Table
+module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -258,6 +261,59 @@ let test_rng_range_reversed_and_equal () =
   ignore (Rng.uniform b);
   Alcotest.(check int64) "advances once" (Rng.int64 a) (Rng.int64 b)
 
+(* --- Json --- *)
+
+let test_json_writer () =
+  (* the trace encoder's escapes and non-finite floats, byte for byte *)
+  Alcotest.(check string) "compact"
+    {|{"s":"a\"b\\c\n\r\t\u0001é","i":-3,"f":0.5,"n":"nan","p":"inf","m":"-inf","b":[true,false,null],"o":{}}|}
+    (Json.to_string
+       (Obj
+          [ ("s", Str "a\"b\\c\n\r\t\001é"); ("i", Int (-3)); ("f", Float 0.5);
+            ("n", Float Float.nan); ("p", Float Float.infinity);
+            ("m", Float Float.neg_infinity);
+            ("b", Arr [ Bool true; Bool false; Null ]); ("o", Obj []) ]))
+
+let test_json_reader () =
+  let v =
+    Json.of_string
+      "\r\n { \"k\" :\t[1, 2.5e0, -0.0, \"\\u00e9\\ud83d\\ude00\\/\\b\\f\"] ,\n\"k\": null }  "
+  in
+  (match v with
+   | Obj [ ("k", Arr [ Int 1; Float f; Float z; Str s ]); ("k", Null) ] ->
+     check_float "float" 2.5 f;
+     check_float "negative zero" 0.0 z;
+     Alcotest.(check string) "escapes decode to UTF-8" "\xc3\xa9\xf0\x9f\x98\x80/\b\012" s
+   | _ -> Alcotest.fail "unexpected tree");
+  Alcotest.(check (option (float 0.0))) "first duplicate wins" None
+    (Option.bind (Json.member "k" v) Json.as_float);
+  List.iter
+    (fun (text, f) ->
+      Alcotest.(check (option (float 0.0))) text (Some f)
+        (Json.as_float (Json.of_string text)))
+    [ ("7", 7.0); ("\"inf\"", Float.infinity); ("\"-inf\"", Float.neg_infinity) ];
+  Alcotest.(check bool) "nan" true
+    (Float.is_nan (Option.get (Json.as_float (Json.of_string "\"nan\""))))
+
+let test_json_errors () =
+  let positioned text (line, col) msg =
+    match Json.of_string ~source:"f.json" ~line:10 text with
+    | _ -> Alcotest.failf "%S must not parse" text
+    | exception Parse_error.Error e ->
+      Alcotest.(check string) text
+        (Printf.sprintf "f.json:%d:%d: %s" line col msg)
+        (Parse_error.to_string { e with token = "" })
+  in
+  positioned "{\"a\": 1," (10, 9) "unexpected end of input";
+  positioned "{\n  \"a\"  1}" (11, 8) "expected ':'";
+  positioned "[1, 2] x" (10, 8) "expected the end of input";
+  positioned "\"\\uZZZZ\"" (10, 2) "bad \\u escape";
+  positioned "\"\\ud800x\"" (10, 2) "lone surrogate";
+  positioned "\"\\q\"" (10, 2) "bad escape";
+  positioned "\"abc" (10, 5) "unterminated string";
+  positioned "nope" (10, 1) "invalid literal";
+  positioned "1.2.3" (10, 1) "bad number"
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -308,5 +364,10 @@ let suite =
         Alcotest.test_case "pads short rows" `Quick test_table_pads_short_rows;
         Alcotest.test_case "bar" `Quick test_table_bar;
         Alcotest.test_case "fmt_float" `Quick test_table_fmt_float
+      ] );
+    ( "util.json",
+      [ Alcotest.test_case "writer bytes" `Quick test_json_writer;
+        Alcotest.test_case "reader" `Quick test_json_reader;
+        Alcotest.test_case "positioned errors" `Quick test_json_errors
       ] )
   ]
