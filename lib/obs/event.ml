@@ -127,6 +127,7 @@ let name = function
   | Frontier_decision _ -> "frontier_decision"
 
 module Json = Abonn_util.Json
+module Parse_error = Abonn_util.Parse_error
 
 (* The per-event schema: every wire field after the envelope, in wire
    order.  The encoder, [equal] and the Perfetto exporter read it. *)
@@ -217,9 +218,12 @@ let to_json { seq; t; domain; event } =
 
 exception Bad of string
 
-let of_json line =
+let of_json ?(source = "<string>") ?(line = 1) text =
+  let malformed (e : Parse_error.t) =
+    Error (Parse_error.to_string { e with msg = "malformed event: " ^ e.msg })
+  in
   try
-    let json = Json.of_string line in
+    let json = Json.of_string ~source ~line text in
     let get conv k =
       match Json.member k json with
       | None -> raise (Bad ("missing field " ^ k))
@@ -317,11 +321,8 @@ let of_json line =
     in
     Ok { seq = i "seq"; t = f "t"; domain; event }
   with
-  | Bad msg -> Error msg
-  | Abonn_util.Parse_error.Error { pos = Line { col; _ }; token; msg; _ } ->
-    Error
-      (if token = "" then Printf.sprintf "col %d: %s" col msg
-       else Printf.sprintf "col %d: %s (at %S)" col msg token)
+  | Bad msg -> malformed { source; pos = Line { line; col = 1 }; token = ""; msg }
+  | Parse_error.Error e -> malformed e
 
 (* nan equals nan, so JSONL round-trips can be checked *)
 let equal a b =

@@ -184,10 +184,13 @@ val fields : t -> (string * Abonn_util.Json.t) list
 val to_json : envelope -> string
 (** One JSON object, no trailing newline. *)
 
-val of_json : string -> (envelope, string) result
+val of_json : ?source:string -> ?line:int -> string -> (envelope, string) result
 (** Parse one line produced by {!to_json}.  [Error msg] on malformed
-    JSON (the message starts with the column), unknown ["ev"], or
-    missing or mistyped fields. *)
+    JSON, unknown ["ev"], or missing or mistyped fields; [msg] is a
+    [SOURCE:LINE:COL: malformed event: ...] diagnostic
+    ({!Abonn_util.Parse_error.to_string}), with [source] (default
+    ["<string>"]) and [line] (default [1]) naming where the line came
+    from.  Field errors point at column 1. *)
 
 val equal : envelope -> envelope -> bool
 (** Equality of the envelope and of {!fields}, treating [nan] as equal

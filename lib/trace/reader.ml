@@ -9,13 +9,13 @@ let issue_line = function
   | Malformed { line; _ } | Seq_gap { line; _ } | Time_regression { line; _ } -> line
 
 let issue_to_string = function
-  | Malformed { line; msg } -> Printf.sprintf "line %d: malformed: %s" line msg
+  | Malformed { msg; _ } -> msg
   | Seq_gap { line; expected; got } ->
     Printf.sprintf "line %d: seq gap: expected %d, got %d" line expected got
   | Time_regression { line; prev; got } ->
     Printf.sprintf "line %d: time regression: %.6f after %.6f" line got prev
 
-let fold_channel ic ~init ~f =
+let fold_channel ?source ic ~init ~f =
   let issues = ref [] in
   let report i = issues := i :: !issues in
   let rec go acc line_no prev_seq prev_t =
@@ -23,7 +23,7 @@ let fold_channel ic ~init ~f =
     | exception End_of_file -> acc
     | "" -> go acc (line_no + 1) prev_seq prev_t
     | line ->
-      (match Event.of_json line with
+      (match Event.of_json ?source ~line:line_no line with
        | Error msg ->
          report (Malformed { line = line_no; msg });
          go acc (line_no + 1) prev_seq prev_t
@@ -40,7 +40,7 @@ let fold_channel ic ~init ~f =
 let fold_file path ~init ~f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  fold_channel ic ~init ~f
+  fold_channel ~source:path ic ~init ~f
 
 let read_file path =
   let events, issues = fold_file path ~init:[] ~f:(fun acc env -> env :: acc) in
@@ -56,6 +56,7 @@ let read_file path =
    (seq, t) are carried across polls. *)
 
 type tail = {
+  source : string;
   fd : Unix.file_descr;
   chunk : Bytes.t;
   pending : Buffer.t;  (* bytes after the last '\n' seen so far *)
@@ -72,7 +73,8 @@ let tail_open ?(offset = 0) path =
       raise (Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
   in
   if offset > 0 then ignore (Unix.lseek fd offset Unix.SEEK_SET);
-  { fd;
+  { source = path;
+    fd;
     chunk = Bytes.create 65536;
     pending = Buffer.create 256;
     line_no = 1;
@@ -88,7 +90,7 @@ let tail_line t report f line =
   (match line with
    | "" -> ()
    | line ->
-     (match Event.of_json line with
+     (match Event.of_json ~source:t.source ~line:t.line_no line with
       | Error msg -> report (Malformed { line = t.line_no; msg })
       | Ok env ->
         if env.Event.seq <> t.prev_seq + 1 then

@@ -9,7 +9,8 @@
 
 type issue =
   | Malformed of { line : int; msg : string }
-      (** The line failed to parse ([Event.of_json] error). *)
+      (** The line failed to parse; [msg] is [Event.of_json]'s
+          [FILE:LINE:COL] diagnostic. *)
   | Seq_gap of { line : int; expected : int; got : int }
       (** [seq] is not the predecessor's successor (1 for the first
           event).  Signals truncation or file concatenation. *)
@@ -23,10 +24,12 @@ val issue_line : issue -> int
 val issue_to_string : issue -> string
 
 val fold_channel :
+  ?source:string ->
   in_channel -> init:'a -> f:('a -> Abonn_obs.Event.envelope -> 'a) -> 'a * issue list
 (** Consume every line of the channel.  [f] sees well-formed envelopes
     in file order; blank lines are skipped silently.  Issues come back
-    in line order. *)
+    in line order; [source] names the channel in malformed-line
+    diagnostics. *)
 
 val fold_file :
   string -> init:'a -> f:('a -> Abonn_obs.Event.envelope -> 'a) -> 'a * issue list

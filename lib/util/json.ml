@@ -197,26 +197,18 @@ let as_float = function
 
 let add_string buf s =
   Buffer.add_char buf '"';
-  let run = ref 0 in
-  String.iteri
-    (fun i c ->
-      let esc =
-        match c with
-        | '"' -> "\\\""
-        | '\\' -> "\\\\"
-        | '\n' -> "\\n"
-        | '\r' -> "\\r"
-        | '\t' -> "\\t"
-        | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-        | _ -> ""
-      in
-      if esc <> "" then begin
-        Buffer.add_substring buf s !run (i - !run);
-        Buffer.add_string buf esc;
-        run := i + 1
-      end)
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 (* JSON has no literal for non-finite floats; they travel as strings. *)

@@ -212,10 +212,12 @@ let test_perfetto_introspect () =
              Alcotest.(check bool) "every row has name/ph/pid" true
                (List.mem_assoc "name" row && List.mem_assoc "ph" row
                 && List.mem_assoc "pid" row);
-             (match Option.map Json.as_float (List.assoc_opt "ts" row) with
-              | Some (Some ts) ->
+             (* the exporter writes ts with %.3f: a JSON float, never a
+                string, so "inf" must not pass *)
+             (match List.assoc_opt "ts" row with
+              | Some (Json.Float ts) ->
                 Alcotest.(check bool) "timestamps never negative" true (ts >= 0.0)
-              | Some None -> Alcotest.fail "ts must be a number"
+              | Some _ -> Alcotest.fail "ts must be a number"
               | None -> () (* metadata rows carry no ts *))
            | _ -> Alcotest.fail "every trace event must be an object")
          rows;

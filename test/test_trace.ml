@@ -71,6 +71,12 @@ let test_reader_recovery () =
       issues
   in
   Alcotest.(check (list int)) "malformed lines" [ 3; 4 ] malformed_lines;
+  Alcotest.(check (list string)) "FILE:LINE:COL diagnostics"
+    [ malformed ^ ":3:1: malformed event: invalid literal (at \"this\")";
+      malformed ^ ":4:1: malformed event: unknown event martian_event" ]
+    (List.filter_map
+       (function Reader.Malformed _ as i -> Some (Reader.issue_to_string i) | _ -> None)
+       issues);
   (match
      List.find_opt (function Reader.Seq_gap _ -> true | _ -> false) issues
    with
