@@ -45,7 +45,7 @@ module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
 module Verdict = Abonn_spec.Verdict
-module Incremental = Abonn_prop.Incremental
+module Appver = Abonn_prop.Appver
 module Bestfirst = Abonn_bab.Bestfirst
 module Branching = Abonn_bab.Branching
 module Result = Abonn_bab.Result
@@ -74,12 +74,13 @@ let calls = 400
 let repeats = 3
 
 (* domains is pinned explicitly everywhere (1 for the cache rows) so an
-   ambient ABONN_DOMAINS cannot silently flip the sequential baseline *)
+   ambient ABONN_DOMAINS cannot silently flip the sequential baseline;
+   the cache-off rows run DeepPoly without its warm entry point *)
 let timed_run ~cache ~domains problem =
-  Incremental.with_enabled cache @@ fun () ->
+  let appver = if cache then Appver.deeppoly else { Appver.deeppoly with warm = None } in
   let t0 = Unix.gettimeofday () in
   let r =
-    Bestfirst.verify ~heuristic ~budget:(Budget.of_calls calls) ~domains problem
+    Bestfirst.verify ~appver ~heuristic ~budget:(Budget.of_calls calls) ~domains problem
   in
   let dt = Unix.gettimeofday () -. t0 in
   (r, dt)

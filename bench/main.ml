@@ -94,10 +94,6 @@ let bench_appver_zonotope =
   Test.make ~name:"kernel_zonotope_call"
     (Staged.stage (fun () -> Abonn_prop.Zonotope.run first_problem []))
 
-let bench_appver_symbolic =
-  Test.make ~name:"kernel_symbolic_call"
-    (Staged.stage (fun () -> Abonn_prop.Symbolic.run first_problem []))
-
 let bench_appver_lp =
   Test.make ~name:"kernel_lp_call"
     (Staged.stage (fun () -> Abonn_lp.Lp_verifier.run first_problem []))
@@ -149,8 +145,8 @@ let tests =
   Test.make_grouped ~name:"abonn"
     [ bench_table1; bench_fig3; bench_table2_rq1; bench_fig4_scatter;
       bench_fig5_heatmap; bench_fig6_boxes; bench_ablation; bench_appver_deeppoly;
-      bench_appver_interval; bench_appver_zonotope; bench_appver_symbolic; bench_appver_lp;
-      bench_appver_lp_warm; bench_engine_bfs; bench_engine_abonn; bench_attack_pgd ]
+      bench_appver_interval; bench_appver_zonotope; bench_appver_lp; bench_appver_lp_warm;
+      bench_engine_bfs; bench_engine_abonn; bench_attack_pgd ]
 
 (* name -> (ns/run estimate, r^2), nested under "rows" with schema,
    commit and date stamps at top level so numbers stay traceable to the

@@ -19,6 +19,16 @@ module Sink = Abonn_obs.Sink
 module Metrics = Abonn_obs.Metrics
 module Introspect = Abonn_obs.Introspect
 module Registry = Abonn_trace.Registry
+module Appver = Abonn_prop.Appver
+module Branching = Abonn_bab.Branching
+
+type engine = Abonn | Bab_baseline | Bestfirst | Inputsplit | Ab_crown
+
+let engines =
+  [ ("abonn", Abonn); ("bab-baseline", Bab_baseline); ("bestfirst", Bestfirst);
+    ("inputsplit", Inputsplit); ("ab-crown", Ab_crown) ]
+
+let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
 
 let build_problem trained index eps factor =
   let dataset = trained.Models.dataset in
@@ -102,27 +112,17 @@ let restore_default_handlers () =
 let verify_core problem engine lambda c heuristic appver calls seconds trace_file
     progress stats no_cache domains introspect flight_path lp_triage
     ~context =
-  let heuristic =
-    match Abonn_bab.Branching.find heuristic with
-    | Some h -> h
-    | None -> Abonn_bab.Branching.default
-  in
-  let appver =
-    if appver = "lp" then Abonn_lp.Lp_verifier.appver
-    else
-      match Abonn_prop.Appver.find appver with
-      | Some v -> v
-      | None -> Abonn_prop.Appver.deeppoly
-  in
   (* --lp-triage: cheap DeepPoly bounds on every node, LP only for the
      nodes that survive the escalation criterion (DESIGN.md §13) *)
   let appver =
     match lp_triage with
     | Some crit ->
-      Abonn_prop.Appver.triaged ~crit ~cheap:Abonn_prop.Appver.deeppoly
-        ~expensive:Abonn_lp.Lp_verifier.appver ()
+      Appver.triaged ~crit ~cheap:Appver.deeppoly ~expensive:Abonn_lp.Lp_verifier.appver ()
     | None -> appver
   in
+  (* --no-bound-cache: the same AppVer without its warm entry point, so
+     every node is bounded from scratch *)
+  let appver = if no_cache then { appver with Appver.warm = None } else appver in
   let budget = Budget.combine ~calls ?seconds () in
   Introspect.set introspect;
   let flight = Option.map (fun _ -> Sink.flight ()) flight_path in
@@ -130,23 +130,16 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
    | Some fl, Some path -> install_flight_handlers fl path
    | _ -> ());
   match
-    (* --no-bound-cache: drop warm-started incremental propagation and
-       restore the from-scratch bound path bit-for-bit *)
-    Abonn_prop.Incremental.with_enabled (not no_cache) @@ fun () ->
     with_observability ~trace_file ~progress ~stats ~flight (fun () ->
         match engine with
-        | "abonn" ->
+        | Abonn ->
           let config = Abonn_core.Config.make ~lambda ~c ~appver ~heuristic () in
           Abonn_core.Abonn.verify ~config ~budget ~domains problem
-        | "bab-baseline" ->
-          Abonn_bab.Bfs.verify ~appver ~heuristic ~budget ~domains problem
-        | "bestfirst" ->
+        | Bab_baseline -> Abonn_bab.Bfs.verify ~appver ~heuristic ~budget ~domains problem
+        | Bestfirst ->
           Abonn_bab.Bestfirst.verify ~appver ~heuristic ~budget ~domains problem
-        | "inputsplit" -> Abonn_bab.Inputsplit.verify ~appver ~budget ~domains problem
-        | "ab-crown" -> Abonn_crown.Alphabeta.verify ~budget ~domains problem
-        | other ->
-          Printf.eprintf "unknown engine %s; using abonn\n%!" other;
-          Abonn_core.Abonn.verify ~budget ~domains problem)
+        | Inputsplit -> Abonn_bab.Inputsplit.verify ~appver ~budget ~domains problem
+        | Ab_crown -> Abonn_crown.Alphabeta.verify ~appver ~budget ~domains problem)
   with
   | exception Sys_error msg ->
     restore_default_handlers ();
@@ -160,7 +153,7 @@ let verify_core problem engine lambda c heuristic appver calls seconds trace_fil
      Sink.flight_dump fl path;
      Printf.printf "flight recorder dumped to: %s (budget exhausted)\n" path
    | _ -> ());
-  Printf.printf "%s engine=%s\n" context engine;
+  Printf.printf "%s engine=%s\n" context (engine_name engine);
   Printf.printf "verdict: %s\n" (Verdict.to_string result.Result.verdict);
   Printf.printf "appver calls: %d\n" result.Result.stats.Result.appver_calls;
   Printf.printf "tree nodes:   %d (max depth %d)\n" result.Result.stats.Result.nodes
@@ -184,8 +177,8 @@ let append_registry registry ~domains ~engine ~model ~instance ~source_format
   Option.iter
     (fun path ->
       Registry.append ~path
-        (Registry.make ~domains ~engine ~model ~instance ~seed:0 ~source_format
-           ~verdict ~wall ~calls ~nodes ~max_depth ());
+        (Registry.make ~domains ~engine:(engine_name engine) ~model ~instance ~seed:0
+           ~source_format ~verdict ~wall ~calls ~nodes ~max_depth ());
       Printf.printf "registry record appended to: %s\n" path)
     registry
 
@@ -336,9 +329,8 @@ let factor_arg =
            ~doc:"Radius as a multiple of the certified radius (used when --eps is absent).")
 
 let engine_arg =
-  Arg.(value & opt string "abonn"
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"One of abonn, bab-baseline, bestfirst, inputsplit, ab-crown.")
+  Arg.(value & opt (enum engines) Abonn
+       & info [ "engine" ] ~docv:"ENGINE" ~doc:("The engine: " ^ doc_alts_enum engines ^ "."))
 
 let lambda_arg =
   Arg.(value & opt float 0.5 & info [ "lambda" ] ~docv:"L" ~doc:"Def. 1 depth weight.")
@@ -346,13 +338,28 @@ let lambda_arg =
 let c_arg =
   Arg.(value & opt float 0.2 & info [ "c" ] ~docv:"C" ~doc:"UCB1 exploration constant.")
 
+(* An enum over named values.  [Arg.enum] compares its values with
+   [Stdlib.compare], and AppVers and heuristics hold closures, so the
+   enum runs over the names and each name maps back to its value. *)
+let named_arg option ~docv ~what ~name ~default values =
+  let names = List.map (fun v -> (name v, name v)) values in
+  let parse s =
+    Stdlib.Result.map
+      (fun n -> List.find (fun v -> name v = n) values)
+      (Arg.conv_parser (Arg.enum names) s)
+  in
+  let named = Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v)) in
+  Arg.(value & opt named default
+       & info [ option ] ~docv ~doc:(what ^ ": " ^ doc_alts_enum names ^ "."))
+
 let heuristic_arg =
-  Arg.(value & opt string "deepsplit"
-       & info [ "heuristic" ] ~docv:"H" ~doc:"deepsplit, babsr, fsb or widest.")
+  named_arg "heuristic" ~docv:"H" ~what:"The branching heuristic"
+    ~name:(fun h -> h.Branching.name) ~default:Branching.default Branching.all
 
 let appver_arg =
-  Arg.(value & opt string "deeppoly"
-       & info [ "appver" ] ~docv:"V" ~doc:"deeppoly, deeppoly-zero, deeppoly-one, zonotope, symbolic, interval or lp.")
+  named_arg "appver" ~docv:"V" ~what:"The AppVer bounding every node"
+    ~name:(fun v -> v.Appver.name) ~default:Appver.deeppoly
+    (Appver.all @ [ Abonn_lp.Lp_verifier.appver ])
 
 let calls_arg =
   Arg.(value & opt int 2000 & info [ "calls" ] ~docv:"N" ~doc:"AppVer-call budget.")
@@ -382,9 +389,9 @@ let stats_arg =
 let no_cache_arg =
   Arg.(value & flag
        & info [ "no-bound-cache" ]
-           ~doc:"Disable incremental (warm-started) bound propagation: every BaB node \
-                 recomputes its bounds from scratch, restoring the pre-cache search \
-                 path bit-for-bit.")
+           ~doc:"Disable incremental (warm-started) bound propagation: the engine gets \
+                 the AppVer without its warm entry point, so every BaB node recomputes \
+                 its bounds from scratch.")
 
 let domains_arg =
   Arg.(value & opt int (Abonn_par.Pool.default_domains ())

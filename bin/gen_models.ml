@@ -1,5 +1,6 @@
 (* gen_models: train the Table I benchmark model zoo and cache the
-   weights under a directory (text format, see Abonn_nn.Serialize).
+   weights under a directory as DIR/<name>.onnx (Abonn_nn.Onnx, float64
+   tensors, so a reloaded model is bit-identical).
 
    Usage: gen_models [--dir models] [--seed 7] [--epochs 15] *)
 

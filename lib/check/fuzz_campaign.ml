@@ -47,7 +47,7 @@ let fresh_temp_dir () =
 let save_repro ~dir ~base problem =
   mkdir_p dir;
   let problem_path = Filename.concat dir (base ^ ".problem") in
-  let network_path = Filename.concat dir (base ^ ".net") in
+  let network_path = Filename.concat dir (base ^ ".onnx") in
   Problem_file.save problem ~network_path problem_path;
   problem_path
 

@@ -17,7 +17,7 @@ module Outcome = Abonn_prop.Outcome
 module Interval = Abonn_prop.Interval
 module Zonotope = Abonn_prop.Zonotope
 module Deeppoly = Abonn_prop.Deeppoly
-module Symbolic = Abonn_prop.Symbolic
+module Appver = Abonn_prop.Appver
 module Bounds = Abonn_prop.Bounds
 module Incremental = Abonn_prop.Incremental
 module Lp_verifier = Abonn_lp.Lp_verifier
@@ -144,9 +144,7 @@ let domains =
     { dname = "deeppoly-zero"; drun = Deeppoly.run ~slope:Deeppoly.Always_zero;
       dhidden = Deeppoly.hidden_bounds ~slope:Deeppoly.Always_zero };
     { dname = "deeppoly-one"; drun = Deeppoly.run ~slope:Deeppoly.Always_one;
-      dhidden = Deeppoly.hidden_bounds ~slope:Deeppoly.Always_one };
-    { dname = "symbolic"; drun = Symbolic.run; dhidden = Symbolic.hidden_bounds }
-  ]
+      dhidden = Deeppoly.hidden_bounds ~slope:Deeppoly.Always_one } ]
 
 let row_margins (problem : Problem.t) y =
   let prop = problem.Problem.property in
@@ -273,19 +271,15 @@ let run_bounds cfg rng problem =
   match List.fold_left check_domain Pass domains with
   | Fail _ as f -> f
   | Pass ->
-    (* Documented dominance: DeepPoly and symbolic intersect with forward
-       intervals, so neither may be looser than plain IBP.  This is the
-       tightness the αβ-CROWN-style stack's bound engine claims. *)
+    (* Documented dominance: DeepPoly intersects with forward intervals,
+       so it may not be looser than plain IBP.  This is the tightness
+       the αβ-CROWN-style stack's bound engine claims. *)
     let phat_of d = (d.drun problem []).Outcome.phat in
     let ibp = phat_of (List.nth domains 0) in
     let dp = phat_of (List.nth domains 2) in
-    let sym = phat_of (List.nth domains 5) in
     if dp < ibp -. cfg.tol then
       failf Bounds "bounds.deeppoly-looser-than-interval"
         "deeppoly phat %.9g < interval phat %.9g" dp ibp
-    else if sym < ibp -. cfg.tol then
-      failf Bounds "bounds.symbolic-looser-than-interval"
-        "symbolic phat %.9g < interval phat %.9g" sym ibp
     else Pass
 
 (* --- exact enumeration oracle --- *)
@@ -597,19 +591,21 @@ let run_incremental cfg rng problem =
   match walk_verdict with
   | Fail _ as f -> f
   | Pass ->
-    (* cache-on vs cache-off engine agreement *)
+    (* cache-on vs cache-off engine agreement: cold is the same AppVer
+       without its warm entry point *)
     let budget () = Budget.of_calls cfg.engine_budget in
     let engines =
-      [ ("bfs", fun () -> (Bfs.verify ~budget:(budget ()) problem).Result.verdict);
-        ("bestfirst", fun () -> (Bestfirst.verify ~budget:(budget ()) problem).Result.verdict)
+      [ ("bfs", fun appver -> (Bfs.verify ~appver ~budget:(budget ()) problem).Result.verdict);
+        ( "bestfirst",
+          fun appver -> (Bestfirst.verify ~appver ~budget:(budget ()) problem).Result.verdict )
       ]
     in
     let check_engine acc (name, f) =
       match acc with
       | Fail _ -> acc
       | Pass ->
-        let on = Incremental.with_enabled true f in
-        let off = Incremental.with_enabled false f in
+        let on = f Appver.deeppoly in
+        let off = f { Appver.deeppoly with warm = None } in
         let bogus v =
           match v with
           | Verdict.Falsified x -> not (Problem.is_counterexample problem x)

@@ -10,9 +10,9 @@
       interval concretisations must contain the sampled pre-activations
       (at the root and under split constraints), every certified [p̂] and
       per-row lower bound must under-approximate the sampled margins, and
-      the documented dominance order (DeepPoly and symbolic at least as
-      tight as plain intervals — the bound the αβ-CROWN-style stack
-      claims) must hold.
+      the documented dominance order (DeepPoly at least as tight as
+      plain intervals — the bound the αβ-CROWN-style stack claims) must
+      hold.
     - {b Exact}: on nets with ≤ {!config.exact_max_relus} ReLUs, full
       enumeration of every ReLU phase cell through
       {!Abonn_bab.Exact.resolve} computes the true verdict, which the
@@ -33,7 +33,8 @@
       be contained in its parent's bounds (exact — intersection
       guarantees it), be no looser than from-scratch DeepPoly, and
       reproduce itself bit-for-bit when re-evaluated from its own state;
-      BFS and best-first must agree cache-on vs cache-off up to ties.
+      BFS and best-first must agree cache-on vs cache-off (DeepPoly
+      without its warm entry point) up to ties.
     - {b Formats}: the problem-ingestion front-end (docs/FORMATS.md).
       ONNX serialization must be deterministic, accepted back by its own
       reader with no forward drift beyond [tol], and a [parse . print]

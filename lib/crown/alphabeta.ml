@@ -8,7 +8,8 @@ module Branching = Abonn_bab.Branching
 module Attack = Abonn_attack.Attack
 
 let verify ?(attack = Attack.best_effort) ?(attack_seed = 0)
-    ?(heuristic = Branching.fsb) ?budget ?domains problem =
+    ?(appver = Abonn_prop.Appver.deeppoly) ?(heuristic = Branching.fsb) ?budget ?domains
+    problem =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let started = Unix.gettimeofday () in
   let rng = Rng.create attack_seed in
@@ -27,7 +28,7 @@ let verify ?(attack = Attack.best_effort) ?(attack_seed = 0)
       ~nodes:0 ~max_depth:0 ~wall_time
   | None ->
     Obs.incr "crown.warmstart.miss";
-    let result = Abonn_bab.Bestfirst.verify ~heuristic ~budget ?domains problem in
+    let result = Abonn_bab.Bestfirst.verify ~appver ~heuristic ~budget ?domains problem in
     let wall_time = Unix.gettimeofday () -. started in
     if Obs.tracing () then
       Obs.emit

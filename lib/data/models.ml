@@ -2,7 +2,7 @@ module Rng = Abonn_util.Rng
 module Network = Abonn_nn.Network
 module Builder = Abonn_nn.Builder
 module Trainer = Abonn_nn.Trainer
-module Serialize = Abonn_nn.Serialize
+module Onnx = Abonn_nn.Onnx
 
 type dataset_kind = Mnist_like | Cifar_like
 
@@ -91,14 +91,14 @@ let train ?(seed = 7) ?(epochs = 15) (spec : spec) =
   evaluate spec net dataset
 
 let train_cached ~dir ?(seed = 7) ?(epochs = 15) (spec : spec) =
-  let path = Filename.concat dir (spec.name ^ ".net") in
+  let path = Filename.concat dir (spec.name ^ ".onnx") in
   if Sys.file_exists path then begin
-    let network = Serialize.load path in
+    let network = Onnx.load path in
     evaluate spec network (dataset_for spec.dataset)
   end
   else begin
     let t = train ~seed ~epochs spec in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Serialize.save t.network path;
+    Onnx.save t.network path;
     t
   end

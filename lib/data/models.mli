@@ -8,7 +8,7 @@
     WIDE widens BASE's channels, DEEP doubles BASE's conv depth.
 
     Training is deterministic from the seed; trained weights can be
-    cached on disk through [train_cached]. *)
+    cached on disk as ONNX files through [train_cached]. *)
 
 type dataset_kind = Mnist_like | Cifar_like
 
@@ -44,5 +44,6 @@ val train : ?seed:int -> ?epochs:int -> spec -> trained
 (** Build, train and evaluate (defaults: seed 7, 15 epochs). *)
 
 val train_cached : dir:string -> ?seed:int -> ?epochs:int -> spec -> trained
-(** Like [train] but loads the network from [dir/<name>.net] when
-    present and writes it there after training otherwise. *)
+(** Like [train] but loads the network from [dir/<name>.onnx] when
+    present and writes it there after training otherwise ([Onnx]'s
+    [F64] encoding, so a reloaded network is bit-identical). *)

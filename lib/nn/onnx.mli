@@ -35,7 +35,7 @@ type style =
 type precision = F32 | F64
 
 val to_bytes : ?style:style -> ?precision:precision -> Network.t -> string
-(** Serialize as an ONNX [ModelProto] (default [Gemm] style, [F64]
+(** Encode as an ONNX [ModelProto] (default [Gemm] style, [F64]
     tensors).  Deterministic: equal networks yield equal bytes. *)
 
 val of_bytes : ?source:string -> string -> Network.t

@@ -16,7 +16,7 @@ type t = {
 (* Observe a verifier: per-call counter, a span timer and a
    [bound_computed] trace event, all gated on [Obs.active] so the
    un-observed path pays one branch.  The DeepPoly family instruments
-   itself inside [Deeppoly.run] (it is also called directly, e.g. by
+   itself inside [Deeppoly.run_warm] (it is also called directly, e.g. by
    branching heuristics and the harness cost model), so only the other
    engines are wrapped here. *)
 let observed { name; run; warm } =
@@ -40,13 +40,13 @@ let observed { name; run; warm } =
     warm }
 
 (* Warm-start dispatch: engines call this on every node.  Verifiers
-   without a warm entry point, and every call while the cache is
-   disabled (--no-bound-cache), fall through to the plain [run] —
-   bit-for-bit the pre-cache path, returning no state. *)
+   without a warm entry point — among them [{ v with warm = None }],
+   the --no-bound-cache form of any verifier — fall through to the
+   plain [run] and return no state. *)
 let run_warm v ?state problem gamma =
   match v.warm with
-  | Some w when Incremental.enabled () -> w ?state problem gamma
-  | Some _ | None -> (v.run problem gamma, None)
+  | Some w -> w ?state problem gamma
+  | None -> (v.run problem gamma, None)
 
 (* --- easy/hard triage (DESIGN.md §13) ---
 
@@ -171,8 +171,6 @@ let interval = observed { name = "interval"; run = Interval.run; warm = None }
 
 let zonotope = observed { name = "zonotope"; run = Zonotope.run; warm = None }
 
-let symbolic = observed { name = "symbolic"; run = Symbolic.run; warm = None }
-
-let all = [ deeppoly; deeppoly_zero; deeppoly_one; zonotope; symbolic; interval ]
+let all = [ deeppoly; deeppoly_zero; deeppoly_one; zonotope; interval ]
 
 let find name = List.find_opt (fun v -> v.name = name) all

@@ -28,10 +28,11 @@ val run_warm :
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
   Outcome.t * Incremental.t option
-(** Warm-start when the verifier supports it and {!Incremental.enabled}
-    is on; otherwise exactly [v.run problem gamma] (same instrumentation,
-    same floats) paired with [None].  The BaB engines call this on every
-    node, threading each node's returned state to its children. *)
+(** Warm-start when the verifier has a [warm] entry point; otherwise
+    exactly [v.run problem gamma] paired with [None].  The BaB engines
+    call this on every node, threading each node's returned state to
+    its children, so [{ v with warm = None }] runs every node from
+    scratch (the [--no-bound-cache] path). *)
 
 val observed : t -> t
 (** Wrap a verifier with [Abonn_obs] instrumentation: an
@@ -87,10 +88,6 @@ val interval : t
 val zonotope : t
 (** DeepZ-style zonotope propagation — the paper's second AppVer
     reference [16]; incomparable in tightness with [deeppoly]. *)
-
-val symbolic : t
-(** Forward symbolic intervals (ReluVal/Neurify-style): one cheap
-    forward pass keeping linear input dependencies. *)
 
 val all : t list
 

@@ -310,29 +310,10 @@ let analyse_core ?parent ?(from_layer = 0) ~clamps slope (problem : Problem.t) g
     in
     Outcome.make ~phat ?candidate ~pre_bounds ~row_lower ()
 
-let analyse slope problem gamma = analyse_core ~clamps:(ref 0) slope problem gamma
-
 let slope_name = function
   | Adaptive -> "deeppoly"
   | Always_zero -> "deeppoly-zero"
   | Always_one -> "deeppoly-one"
-
-let run ?(slope = Adaptive) (problem : Problem.t) gamma =
-  if not (Obs.active ()) then analyse slope problem gamma
-  else begin
-    let t0 = Obs.now () in
-    let outcome = analyse slope problem gamma in
-    let elapsed = Obs.now () -. t0 in
-    let name = slope_name slope in
-    Obs.incr (Printf.sprintf "appver.%s.calls" name);
-    Obs.span ("appver." ^ name) elapsed;
-    if Obs.tracing () then
-      Obs.emit
-        (Ev.Bound_computed
-           { appver = name; depth = Split.depth gamma;
-             phat = outcome.Outcome.phat; elapsed });
-    outcome
-  end
 
 let hidden_bounds ?(slope = Adaptive) problem gamma =
   match compute_hidden_bounds slope problem gamma with
@@ -376,10 +357,10 @@ let analyse_warm ?(slope = Adaptive) ?state problem gamma =
   warm_core ~clamps:(ref 0) name slope state (reuse_of name state problem gamma)
     problem gamma
 
-(* [analyse_warm] with instrumentation mirroring [run] exactly — the
-   same [bound_computed] event and counters — so trace reconstruction
-   is unchanged; reuse additionally emits one [bound_reuse] event and
-   the [appver.cache.*] counters. *)
+(* [analyse_warm] with instrumentation: one [bound_computed] event, the
+   [appver.<name>] counter and span per call, and on reuse one
+   [bound_reuse] event and the [appver.cache.*] counters.  The only
+   instrumented entry point: [run] is this call without a state. *)
 let run_warm ?(slope = Adaptive) ?state problem gamma =
   let name = slope_name slope in
   let reuse = reuse_of name state problem gamma in
@@ -417,3 +398,5 @@ let run_warm ?(slope = Adaptive) ?state problem gamma =
     end;
     result
   end
+
+let run ?slope problem gamma = fst (run_warm ?slope problem gamma)

@@ -31,7 +31,8 @@ val run :
   Abonn_spec.Split.gamma ->
   Outcome.t
 (** Full analysis: hidden-layer bounds, property-row lower bounds [p̂],
-    candidate counterexample. *)
+    candidate counterexample.  Exactly [run_warm] without a state, with
+    the returned state dropped. *)
 
 val hidden_bounds :
   ?slope:slope ->
@@ -52,14 +53,13 @@ val run_warm :
     the rest is re-propagated and intersected with the parent's bounds
     (monotone tightening — never looser than [run], and identical to it
     whenever no parent bound is strictly tighter than the recomputed
-    one).  With [?state] absent or incompatible this is exactly [run]
-    plus the construction of a fresh state.  Returns the node's own
+    one).  With [?state] absent or incompatible this is the
+    from-scratch analysis plus the construction of a fresh state.  Returns the node's own
     state for its children; [None] when the sub-problem was infeasible.
-    Does not consult {!Incremental.enabled} — gating the cache is the
-    caller's ([Appver.run_warm]'s) job.  Instrumented like [run]: one
-    [bound_computed] event and the [appver.<name>] counter and span per
-    call, plus one [bound_reuse] event and the [appver.cache.*] counters
-    when the state was reused. *)
+    DeepPoly's one instrumented entry point: one [bound_computed] event
+    and the [appver.<name>] counter and span per call, plus one
+    [bound_reuse] event and the [appver.cache.*] counters when the state
+    was reused. *)
 
 val analyse_warm :
   ?slope:slope ->

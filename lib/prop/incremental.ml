@@ -12,20 +12,6 @@ type t = {
   row_lower : float array;
 }
 
-(* Process-global escape hatch (--no-bound-cache): when disabled,
-   [Appver.run_warm] falls back to the from-scratch path and returns no
-   state, restoring the pre-cache behaviour bit-for-bit. *)
-let enabled_flag = ref true
-
-let enabled () = !enabled_flag
-
-let set_enabled v = enabled_flag := v
-
-let with_enabled v f =
-  let saved = !enabled_flag in
-  enabled_flag := v;
-  Fun.protect ~finally:(fun () -> enabled_flag := saved) f
-
 let make ~appver ~(problem : Problem.t) ~gamma ~pre_bounds ~row_lower =
   let region = problem.Problem.region in
   { appver;

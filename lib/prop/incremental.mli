@@ -20,6 +20,10 @@
       mix networks ([classify] checks region, gamma and shape, not
       weights).
 
+    There is no global switch: an engine handed [{ v with Appver.warm =
+    None }] bounds every node from scratch and builds no state (the
+    [--no-bound-cache] path).
+
     See DESIGN.md "Incremental bound propagation". *)
 
 type t = {
@@ -54,13 +58,3 @@ type reuse =
 val classify :
   t -> appver:string -> problem:Abonn_spec.Problem.t ->
   gamma:Abonn_spec.Split.gamma -> reuse
-
-val enabled : unit -> bool
-(** Global cache switch, [true] by default.  When [false],
-    [Appver.run_warm] ignores states and runs from scratch
-    (the [--no-bound-cache] escape hatch). *)
-
-val set_enabled : bool -> unit
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run with the switch forced to the given value, restoring it after. *)

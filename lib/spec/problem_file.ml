@@ -145,10 +145,12 @@ let of_string ?(dir = ".") ?(source = "<string>") text =
     let path = network_dir.v in
     if Filename.is_relative path then Filename.concat dir path else path
   in
+  (* a missing file fails at the directive; a malformed one raises the
+     ONNX reader's own error, positioned in the network file *)
   let network =
-    match Abonn_nn.Serialize.load network_path with
+    match Abonn_nn.Onnx.load network_path with
     | net -> net
-    | exception (Failure msg | Sys_error msg) ->
+    | exception Sys_error msg ->
       err ~line:network_dir.line ~col:network_dir.col ~token:network_dir.v
         "cannot load network: %s" msg
   in
@@ -226,7 +228,7 @@ let load path =
       of_string ~dir:(Filename.dirname path) ~source:path text)
 
 let save problem ~network_path path =
-  Abonn_nn.Serialize.save problem.Problem.network network_path;
+  Abonn_nn.Onnx.save problem.Problem.network network_path;
   let dir = Filename.dirname path in
   let network_ref =
     (* store relative when the network sits in the same directory *)

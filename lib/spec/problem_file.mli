@@ -1,12 +1,12 @@
 (** Textual problem files — a VNNLIB-style interchange format.
 
-    A problem file names a network (path to an [Abonn_nn.Serialize]
-    file, resolved relative to the problem file) and states Φ and Ψ in a
-    line-oriented format:
+    A problem file names a network (path to an ONNX file read by
+    [Abonn_nn.Onnx], resolved relative to the problem file) and states
+    Φ and Ψ in a line-oriented format:
 
     {v
     abonn-problem 1
-    network mnist_l2.net
+    network mnist_l2.onnx
     box-lower 0 0 0.1 ...
     box-upper 1 1 0.9 ...
     robustness 10 3
@@ -16,7 +16,7 @@
 
     {v
     abonn-problem 1
-    network net.net
+    network net.onnx
     center 0.5 0.5
     eps 0.03
     clip 0 1
@@ -31,13 +31,15 @@
 val load : string -> Problem.t
 (** [load path] parses the problem file and its referenced network.
     Raises {!Abonn_util.Parse_error.Error} with the 1-based line/column
-    and offending token on malformed input (including an unloadable
-    network reference), [Sys_error] on a missing problem file. *)
+    and offending token on malformed input, including a network file
+    that cannot be opened; a malformed network file raises the ONNX
+    reader's error, positioned by byte offset in that file.  Raises
+    [Sys_error] on a missing problem file. *)
 
 val save : Problem.t -> network_path:string -> string -> unit
 (** [save problem ~network_path path] writes the problem file to [path]
-    and the network to [network_path] (stored relative to [path]'s
-    directory when possible). *)
+    and the network to [network_path] as ONNX (stored relative to
+    [path]'s directory when possible). *)
 
 val to_string : Problem.t -> network_ref:string -> string
 (** Render just the problem file body, referencing the network as

@@ -122,10 +122,12 @@ let parse ?(source = "<string>") text =
     | Some i -> Some (`X i)
     | None -> ( match index "Y_" with Some i -> Some (`Y i) | None -> None)
   in
+  (* index -> position of its first declaration *)
   let declare loc name =
+    let add decl i = if not (Hashtbl.mem decl i) then Hashtbl.add decl i loc in
     match var_of name with
-    | Some (`X i) -> Hashtbl.replace xdecl i ()
-    | Some (`Y i) -> Hashtbl.replace ydecl i ()
+    | Some (`X i) -> add xdecl i
+    | Some (`Y i) -> add ydecl i
     | None -> err loc name "expected a variable named X_<i> or Y_<i>"
   in
   (* linear terms *)
@@ -240,8 +242,31 @@ let parse ?(source = "<string>") text =
     forms;
   let asserts = List.rev !asserts in
   let top = { l = 1; c = 1 } in
-  let num_inputs = Hashtbl.fold (fun i () acc -> max acc (i + 1)) xdecl 0 in
-  let num_outputs = Hashtbl.fold (fun i () acc -> max acc (i + 1)) ydecl 0 in
+  (* The n declared indices of a kind must be exactly 0..n-1: the arrays
+     below are sized by the count, so an index of n or more (a gap) is
+     reported at the first such declaration, before anything is
+     allocated. *)
+  let count kind decl =
+    let n = Hashtbl.length decl in
+    let first_beyond =
+      Hashtbl.fold
+        (fun i loc acc ->
+          match acc with
+          | _ when i < n -> acc
+          | Some (_, best) when (best.l, best.c) < (loc.l, loc.c) -> acc
+          | _ -> Some (i, loc))
+        decl None
+    in
+    Option.iter
+      (fun (i, loc) ->
+        err loc (Printf.sprintf "%s_%d" kind i)
+          "%d %s variables are declared, so their indices must run %s_0..%s_%d without a gap"
+          n kind kind kind (n - 1))
+      first_beyond;
+    n
+  in
+  let num_inputs = count "X" xdecl in
+  let num_outputs = count "Y" ydecl in
   if num_inputs = 0 then err top "X_0" "no input variables declared";
   if num_outputs = 0 then err top "Y_0" "no output variables declared";
   (* split asserts into input bounds and output constraints *)
@@ -256,8 +281,7 @@ let parse ?(source = "<string>") text =
   in
   let lower = Array.make num_inputs None and upper = Array.make num_inputs None in
   let apply_bound = function
-    | Bound (i, dir, v, loc) ->
-      if i >= num_inputs then err loc (Printf.sprintf "X_%d" i) "undeclared variable";
+    | Bound (i, dir, v, _) ->
       let tighten cell pick =
         cell := Some (match !cell with None -> v | Some old -> pick old v)
       in

@@ -21,7 +21,9 @@
     linear: constants, variables, [( * c t)], [(+ t …)], [(- t …)].
     Multiple top-level output asserts are conjoined and distributed
     into disjunctive normal form (at most {!max_disjuncts} disjuncts).
-    A comparison mixing [X] and [Y] variables is a positioned error.
+    A comparison mixing [X] and [Y] variables is a positioned error, and
+    so is a declared index of [n] or more when [n] distinct [X] (or [Y])
+    variables are declared: the indices must run from 0 without a gap.
 
     {b DNF-splitting semantics.}  The violation condition is
     [∨_j (∧_i literal_ij)].  {!problems} lowers each disjunct to one

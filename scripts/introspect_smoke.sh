@@ -15,8 +15,9 @@
 # comparison: its interleaving depends on scheduling.  On every trace,
 # `phases`, `hotspots --flame`, `explain` and `export --perfetto` must
 # exit 0 and print something; on the abonn trace, `explain` must report
-# wasted work and `hotspots` must rank its rows.  Exits non-zero on the
-# first failure.  Runs the binaries through `dune exec` from the
+# wasted work and `hotspots` must rank its rows.  First of all, an
+# unknown --appver or --engine name must be a usage error (exit 124).
+# Exits non-zero on the first failure.  Runs the binaries through `dune exec` from the
 # repository root.
 
 set -eu
@@ -70,6 +71,21 @@ tools() {
     fi
   done
 }
+
+# unknown names are usage errors, never a silent fallback
+for args in "--appver symbolic" "--engine bogus"; do
+  # $args is split into option and value on purpose
+  # shellcheck disable=SC2086
+  if dune exec bin/abonn_cli.exe -- --no-flight $args >/dev/null 2>&1; then
+    code=0
+  else
+    code=$?
+  fi
+  if [ "$code" -ne 124 ]; then
+    echo "abonn_cli $args exited $code, expected 124"
+    exit 1
+  fi
+done
 
 for engine in bab-baseline bestfirst inputsplit abonn; do
   check "$engine" "$engine" 700

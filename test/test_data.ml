@@ -107,7 +107,7 @@ let test_models_cache_roundtrip () =
   let t2 = Models.train_cached ~dir ~epochs:2 Models.mnist_l2 in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove (Filename.concat dir "mnist_l2.net");
+      Sys.remove (Filename.concat dir "mnist_l2.onnx");
       Sys.rmdir dir)
     (fun () ->
       let x = Array.make 100 0.7 in

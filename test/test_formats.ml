@@ -314,6 +314,14 @@ let test_malformed_vnnlib () =
   in
   Alcotest.(check string) "non-finite token" "inf" e.Parse_error.token;
   Alcotest.(check (pair int int)) "non-finite at 7:17" (7, 17) (line_pos e);
+  (* an index past the declared count fails at its declaration, before
+     the reader sizes an array by it *)
+  let e =
+    expect_parse_error ~what:"index_gap.vnnlib" (fun () ->
+        Vnnlib.load (malformed "index_gap.vnnlib"))
+  in
+  Alcotest.(check string) "gap token" "Y_42949672952" e.Parse_error.token;
+  Alcotest.(check (pair int int)) "gap at 12:16" (12, 16) (line_pos e);
   (* inline malformations *)
   let cases =
     [ ("missing bound", "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (<= X_0 1.0))\n(assert (<= Y_0 0.0))\n");
@@ -321,6 +329,8 @@ let test_malformed_vnnlib () =
       ("undeclared", "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n(assert (<= Y_3 0.0))\n");
       ("no outputs", "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n");
       ("stray close", "(declare-const X_0 Real))\n");
+      ("input index gap",
+       "(declare-const X_0 Real)\n(declare-const X_2 Real)\n(declare-const Y_0 Real)\n(assert (<= Y_0 0.0))\n");
       ("bound under or",
        "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (or (<= X_0 1.0) (>= X_0 0.0)))\n(assert (<= Y_0 0.0))\n") ]
   in

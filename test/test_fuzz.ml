@@ -101,15 +101,16 @@ let test_shrink_strictly_smaller () =
     (fun c -> Alcotest.(check bool) "candidate smaller" true (size c < size case.Gen.problem))
     (Shrink.candidates case.Gen.problem)
 
-(* Serialize → reload → identical network behaviour and margins: the
-   guarantee findings rely on for replayability. *)
+(* Save as a problem file plus ONNX network → reload → identical
+   network behaviour and margins: the guarantee findings rely on for
+   replayability. *)
 let test_roundtrip () =
   let case = Gen.case ~seed:11 ~index:5 in
   let dir = Filename.temp_file "abonn-fuzz-test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let problem_path = Filename.concat dir "case.problem" in
-  let network_path = Filename.concat dir "case.net" in
+  let network_path = Filename.concat dir "case.onnx" in
   Problem_file.save case.Gen.problem ~network_path problem_path;
   let reloaded = Problem_file.load problem_path in
   let rng = Rng.create 5 in

@@ -28,7 +28,11 @@ module Bfs = Abonn_bab.Bfs
 module Bestfirst = Abonn_bab.Bestfirst
 module Exact = Abonn_bab.Exact
 module Result = Abonn_bab.Result
+module Alphabeta = Abonn_crown.Alphabeta
 module Gen = Abonn_check.Gen
+
+(* cache off: DeepPoly without its warm entry point *)
+let cold = { Appver.deeppoly with warm = None }
 
 let mlp_problem ?(eps = 0.3) ~dims seed =
   let rng = Rng.create seed in
@@ -209,8 +213,8 @@ let test_engine_verdicts_cache_invariant () =
     (fun problem ->
       List.iter
         (fun (name, run) ->
-          let on = Incremental.with_enabled true (fun () -> (run () : Result.t)) in
-          let off = Incremental.with_enabled false run in
+          let on : Result.t = run Appver.deeppoly in
+          let off = run cold in
           Alcotest.(check bool)
             (name ^ ": verified agrees cache-on/off")
             (Verdict.is_verified off.Result.verdict)
@@ -227,8 +231,9 @@ let test_engine_verdicts_cache_invariant () =
                   (Problem.is_counterexample problem x)
               | Verdict.Verified | Verdict.Timeout -> ())
             [ on; off ])
-        [ ("bfs", fun () -> Bfs.verify ~budget:(Budget.of_calls 5000) problem);
-          ("bestfirst", fun () -> Bestfirst.verify ~budget:(Budget.of_calls 5000) problem)
+        [ ("bfs", fun appver -> Bfs.verify ~appver ~budget:(Budget.of_calls 5000) problem);
+          ( "bestfirst",
+            fun appver -> Bestfirst.verify ~appver ~budget:(Budget.of_calls 5000) problem )
         ])
     problems
 
@@ -259,18 +264,15 @@ let test_incompatible_state_falls_back () =
 let test_disabled_cache_bypasses_warm_path () =
   let problem = mlp_problem ~dims:[ 3; 4; 4; 2 ] 42 in
   let _, st = Deeppoly.run_warm problem [] in
-  Alcotest.(check bool) "cache enabled by default" true (Incremental.enabled ());
-  Incremental.with_enabled false (fun () ->
-      let outcome, state =
-        Appver.run_warm Appver.deeppoly ?state:st problem []
-      in
-      Alcotest.(check bool) "no state returned when disabled" true (state = None);
-      let scratch = Deeppoly.run problem [] in
-      Alcotest.(check bool) "disabled path is the scratch path" true
-        (Float.equal outcome.Outcome.phat scratch.Outcome.phat));
-  Alcotest.(check bool) "flag restored" true (Incremental.enabled ())
+  let outcome, state = Appver.run_warm cold ?state:st problem [] in
+  Alcotest.(check bool) "no state returned when disabled" true (state = None);
+  let scratch = Deeppoly.run problem [] in
+  Alcotest.(check bool) "disabled path is the scratch path" true
+    (Float.equal outcome.Outcome.phat scratch.Outcome.phat)
 
 (* --- observability --- *)
+
+let is_reuse e = match e.Event.event with Event.Bound_reuse _ -> true | _ -> false
 
 (* A real BFS run with the cache on must report nonzero cache counters,
    and every [bound_reuse] trace event must annotate the immediately
@@ -301,11 +303,7 @@ let test_counters_and_bound_reuse_events () =
       Alcotest.(check bool) "layers skipped recorded" true
         (counter "appver.cache.layers_skipped" >= 0);
       let evs = events () in
-      let reuses =
-        List.filter
-          (fun e -> match e.Event.event with Event.Bound_reuse _ -> true | _ -> false)
-          evs
-      in
+      let reuses = List.filter is_reuse evs in
       Alcotest.(check bool) "bound_reuse events emitted" true (List.length reuses > 0);
       let rec pairs = function
         | prev :: ({ Event.event = Event.Bound_reuse r; _ } as cur) :: rest ->
@@ -325,6 +323,30 @@ let test_counters_and_bound_reuse_events () =
          each domain's own sub-stream (the envelope's [domain] tag). *)
       let domains = List.sort_uniq compare (List.map (fun e -> e.Event.domain) evs) in
       List.iter (fun d -> pairs (List.filter (fun e -> e.Event.domain = d) evs)) domains)
+
+(* ab-crown takes the CLI's AppVer like every other engine: handed the
+   cold one, its best-first phase reuses no bounds and still reaches the
+   warm run's verdict.  The instance survives the attack and is verified
+   only after a few hundred nodes. *)
+let test_alphabeta_cold_appver () =
+  let problem = mlp_problem ~dims:[ 3; 8; 8; 2 ] ~eps:0.3 113 in
+  let traced appver =
+    let sink, events = Sink.memory () in
+    let r =
+      Obs.with_sink sink (fun () ->
+          Alphabeta.verify ~appver ~budget:(Budget.of_calls 2000) ~domains:1 problem)
+    in
+    (r, List.length (List.filter is_reuse (events ())))
+  in
+  let warm, warm_reuses = traced Appver.deeppoly in
+  let cold_run, cold_reuses = traced cold in
+  Alcotest.(check bool) "warm run verified after splitting" true
+    (Verdict.is_verified warm.Result.verdict && warm.Result.stats.Result.nodes > 1);
+  Alcotest.(check bool) "warm run reuses bounds" true (warm_reuses > 0);
+  Alcotest.(check int) "cold run emits no bound_reuse" 0 cold_reuses;
+  Alcotest.(check string) "same verdict"
+    (Verdict.to_string warm.Result.verdict)
+    (Verdict.to_string cold_run.Result.verdict)
 
 let test_bound_reuse_json_roundtrip () =
   let ev =
@@ -355,6 +377,7 @@ let suite =
           test_disabled_cache_bypasses_warm_path;
         Alcotest.test_case "cache counters and bound_reuse trace" `Quick
           test_counters_and_bound_reuse_events;
+        Alcotest.test_case "ab-crown on the cold AppVer" `Quick test_alphabeta_cold_appver;
         Alcotest.test_case "bound_reuse JSON round-trip" `Quick
           test_bound_reuse_json_roundtrip ] )
   ]

@@ -1,6 +1,7 @@
 (* Tests for Abonn_nn: layer forward/backward (gradients checked against
    finite differences), conv materialisation, affine compilation, trainer
-   convergence on a separable toy problem, serialization round-trips. *)
+   convergence on a separable toy problem, serialization round-trips
+   through ONNX, the one network format. *)
 
 module Matrix = Abonn_tensor.Matrix
 module Vector = Abonn_tensor.Vector
@@ -11,7 +12,7 @@ module Network = Abonn_nn.Network
 module Affine = Abonn_nn.Affine
 module Builder = Abonn_nn.Builder
 module Trainer = Abonn_nn.Trainer
-module Serialize = Abonn_nn.Serialize
+module Onnx = Abonn_nn.Onnx
 
 let check_float = Alcotest.(check (float 1e-6))
 let vec = Alcotest.testable Vector.pp (Vector.approx_equal ~tol:1e-6)
@@ -244,12 +245,12 @@ let test_softmax_stable_large_logits () =
   Alcotest.(check bool) "no nan" true (not (Float.is_nan p.(0)));
   check_float "saturates" 1.0 p.(0)
 
-(* --- Serialize --- *)
+(* --- Serialization (ONNX) --- *)
 
 let test_serialize_roundtrip_mlp () =
   let rng = Rng.create 55 in
   let net = Builder.mlp rng ~dims:[ 3; 5; 2 ] in
-  let net' = Serialize.of_string (Serialize.to_string net) in
+  let net' = Onnx.of_bytes (Onnx.to_bytes net) in
   let x = [| 0.1; -0.7; 0.4 |] in
   Alcotest.check vec "roundtrip function" (Network.forward net x) (Network.forward net' x)
 
@@ -260,26 +261,27 @@ let test_serialize_roundtrip_conv () =
       ~convs:[ { Builder.out_channels = 2; kernel = 3; stride = 1; padding = 0 } ]
       ~dense:[] ~num_classes:2
   in
-  let net' = Serialize.of_string (Serialize.to_string net) in
+  let net' = Onnx.of_bytes (Onnx.to_bytes net) in
   let x = Array.init 25 (fun i -> float_of_int i /. 25.0) in
   Alcotest.check vec "conv roundtrip" (Network.forward net x) (Network.forward net' x)
 
 let test_serialize_rejects_garbage () =
-  Alcotest.(check bool) "bad header" true
-    (try ignore (Serialize.of_string "not a network"); false with Failure _ -> true);
+  let rejects bytes =
+    try ignore (Onnx.of_bytes bytes); false with Abonn_util.Parse_error.Error _ -> true
+  in
+  Alcotest.(check bool) "bad header" true (rejects "not a network");
   Alcotest.(check bool) "truncated" true
-    (try ignore (Serialize.of_string "abonn-network 1 2\nrelu 3\n"); false
-     with Failure _ -> true)
+    (rejects (String.sub (Onnx.to_bytes (tiny_net ())) 0 20))
 
 let test_serialize_file_roundtrip () =
   let rng = Rng.create 57 in
   let net = Builder.mlp rng ~dims:[ 2; 3; 2 ] in
-  let path = Filename.temp_file "abonn_test" ".net" in
+  let path = Filename.temp_file "abonn_test" ".onnx" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Serialize.save net path;
-      let net' = Serialize.load path in
+      Onnx.save net path;
+      let net' = Onnx.load path in
       let x = [| 0.5; -0.5 |] in
       Alcotest.check vec "file roundtrip" (Network.forward net x) (Network.forward net' x))
 

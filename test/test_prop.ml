@@ -306,7 +306,7 @@ let test_all_slope_policies_sound () =
   done
 
 let test_appver_registry () =
-  Alcotest.(check int) "six verifiers" 6 (List.length Appver.all);
+  Alcotest.(check int) "five verifiers" 5 (List.length Appver.all);
   Alcotest.(check bool) "find deeppoly" true (Appver.find "deeppoly" <> None);
   Alcotest.(check bool) "find missing" true (Appver.find "gurobi" = None);
   List.iter
@@ -495,85 +495,3 @@ let zonotope_tests =
     ] )
 
 let suite = suite @ [ zonotope_tests ]
-
-(* --- Forward symbolic intervals (ReluVal/Neurify) --- *)
-
-module Symbolic = Abonn_prop.Symbolic
-
-let test_symbolic_bounds_sound () =
-  let problem = random_problem ~seed:2 () in
-  match Symbolic.hidden_bounds problem [] with
-  | None -> Alcotest.fail "unexpected infeasibility"
-  | Some b ->
-    Alcotest.(check bool) "symbolic bounds contain samples" true
-      (bounds_contain_samples b problem 104)
-
-let test_symbolic_phat_sound () =
-  for seed = 5 to 8 do
-    let problem = random_problem ~seed () in
-    Alcotest.(check bool)
-      (Printf.sprintf "symbolic phat sound (seed %d)" seed)
-      true
-      (phat_below_sampled_margins Symbolic.run problem)
-  done
-
-let test_symbolic_tighter_than_interval () =
-  for seed = 10 to 16 do
-    let problem = random_problem ~seed () in
-    let s = Symbolic.run problem [] in
-    let ibp = Interval.run problem [] in
-    Alcotest.(check bool)
-      (Printf.sprintf "symbolic >= interval (seed %d)" seed)
-      true
-      (s.Outcome.phat >= ibp.Outcome.phat -. 1e-9)
-  done
-
-let test_symbolic_exact_on_linear_net () =
-  let w = Matrix.of_rows [| [| 1.0; -2.0 |] |] in
-  let affine = Affine.of_weights [ (w, [| 0.25 |]) ] in
-  let region = Region.create ~lower:[| -1.0; -1.0 |] ~upper:[| 1.0; 1.0 |] in
-  let property = Property.single [| 1.0 |] 0.0 in
-  let problem = Problem.of_affine ~affine ~region ~property () in
-  let outcome = Symbolic.run problem [] in
-  check_float "phat exact" (-2.75) outcome.Outcome.phat;
-  match outcome.Outcome.candidate with
-  | None -> Alcotest.fail "expected candidate"
-  | Some x ->
-    check_float "candidate achieves phat" outcome.Outcome.phat
-      (Problem.concrete_margin problem x)
-
-let test_symbolic_sound_under_splits () =
-  let problem = random_problem ~seed:3 () in
-  let affine = problem.Problem.affine in
-  let base = Symbolic.run problem [] in
-  match Bounds.unstable_indices base.Outcome.pre_bounds.(0) with
-  | [] -> Alcotest.fail "expected unstable relu"
-  | idx :: _ ->
-    let relu = Affine.relu_index affine ~layer:0 ~idx in
-    List.iter
-      (fun phase ->
-        let gamma = Split.extend [] ~relu ~phase in
-        let outcome = Symbolic.run problem gamma in
-        if not outcome.Outcome.infeasible then begin
-          let rng = Rng.create 67 in
-          let ok = ref true in
-          for _ = 1 to 300 do
-            let x = Region.sample rng problem.Problem.region in
-            if Split.satisfied_by affine gamma x
-               && Problem.concrete_margin problem x < outcome.Outcome.phat -. 1e-6
-            then ok := false
-          done;
-          Alcotest.(check bool) "split-restricted soundness" true !ok
-        end)
-      [ Split.Active; Split.Inactive ]
-
-let symbolic_tests =
-  ( "prop.symbolic",
-    [ Alcotest.test_case "bounds sound" `Quick test_symbolic_bounds_sound;
-      Alcotest.test_case "phat sound" `Quick test_symbolic_phat_sound;
-      Alcotest.test_case "tighter than interval" `Quick test_symbolic_tighter_than_interval;
-      Alcotest.test_case "exact on linear" `Quick test_symbolic_exact_on_linear_net;
-      Alcotest.test_case "sound under splits" `Quick test_symbolic_sound_under_splits
-    ] )
-
-let suite = suite @ [ symbolic_tests ]

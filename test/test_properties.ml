@@ -9,7 +9,7 @@ module Vector = Abonn_tensor.Vector
 module Matrix = Abonn_tensor.Matrix
 module Network = Abonn_nn.Network
 module Builder = Abonn_nn.Builder
-module Serialize = Abonn_nn.Serialize
+module Onnx = Abonn_nn.Onnx
 module Affine = Abonn_nn.Affine
 module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
@@ -28,7 +28,7 @@ let prop_serialize_roundtrip =
     (fun (seed, h1, h2) ->
       let rng = Rng.create seed in
       let net = Builder.mlp rng ~dims:[ 3; h1; h2; 2 ] in
-      let net' = Serialize.of_string (Serialize.to_string net) in
+      let net' = Onnx.of_bytes (Onnx.to_bytes net) in
       let probe = Rng.create (seed + 1) in
       let ok = ref true in
       for _ = 1 to 10 do

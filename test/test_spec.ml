@@ -276,7 +276,7 @@ let test_problem_file_roundtrip () =
   let dir = Filename.temp_file "abonn_pf" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let net_path = Filename.concat dir "net.net" in
+  let net_path = Filename.concat dir "net.onnx" in
   let path = Filename.concat dir "problem.txt" in
   Fun.protect
     ~finally:(fun () ->
@@ -304,7 +304,7 @@ let test_problem_file_center_eps_form () =
   let dir = Filename.temp_file "abonn_pf2" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let net_path = Filename.concat dir "net.net" in
+  let net_path = Filename.concat dir "net.onnx" in
   Fun.protect
     ~finally:(fun () ->
       Sys.remove net_path;
@@ -312,9 +312,9 @@ let test_problem_file_center_eps_form () =
     (fun () ->
       let rng = Rng.create 78 in
       let net = Builder.mlp rng ~dims:[ 2; 4; 2 ] in
-      Abonn_nn.Serialize.save net net_path;
+      Abonn_nn.Onnx.save net net_path;
       let text =
-        "abonn-problem 1\n" ^ "network net.net\n" ^ "center 0.5 0.5\n" ^ "eps 0.1\n"
+        "abonn-problem 1\n" ^ "network net.onnx\n" ^ "center 0.5 0.5\n" ^ "eps 0.1\n"
         ^ "clip 0 1\n" ^ "robustness 2 0\n"
       in
       let problem = Problem_file.of_string ~dir text in
@@ -325,7 +325,7 @@ let test_problem_file_constraints_form () =
   let dir = Filename.temp_file "abonn_pf3" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let net_path = Filename.concat dir "net.net" in
+  let net_path = Filename.concat dir "net.onnx" in
   Fun.protect
     ~finally:(fun () ->
       Sys.remove net_path;
@@ -333,9 +333,9 @@ let test_problem_file_constraints_form () =
     (fun () ->
       let rng = Rng.create 79 in
       let net = Builder.mlp rng ~dims:[ 2; 4; 1 ] in
-      Abonn_nn.Serialize.save net net_path;
+      Abonn_nn.Onnx.save net net_path;
       let text =
-        "abonn-problem 1\nnetwork net.net\n# the Fig. 1 property\n"
+        "abonn-problem 1\nnetwork net.onnx\n# the Fig. 1 property\n"
         ^ "box-lower 0 0\nbox-upper 1 1\nconstraint 2.5 1\n"
       in
       let problem = Problem_file.of_string ~dir text in
@@ -401,12 +401,32 @@ let check_rejected edits ~line ~col ~token () =
 let defect name edits ~line ~col ~token =
   Alcotest.test_case name `Quick (check_rejected edits ~line ~col ~token)
 
+(* A malformed network file surfaces the ONNX reader's own error,
+   positioned by byte offset in that file: never a bare [Failure] or
+   [Network.create]'s [Invalid_argument]. *)
+let test_problem_file_malformed_network () =
+  match
+    Problem_file.of_string ~dir:"fixtures/fuzz"
+      (corpus_lp_with [ ("network", "network ../formats/malformed/truncated.onnx") ])
+  with
+  | _ -> Alcotest.fail "truncated network accepted"
+  | exception Abonn_util.Parse_error.Error e -> (
+    Alcotest.(check string) "error names the network file"
+      "fixtures/fuzz/../formats/malformed/truncated.onnx" e.Abonn_util.Parse_error.source;
+    match e.Abonn_util.Parse_error.pos with
+    | Abonn_util.Parse_error.Byte _ -> ()
+    | Abonn_util.Parse_error.Line _ -> Alcotest.fail "expected a byte offset")
+
 let problem_file_tests =
   ( "spec.problem_file",
     [ Alcotest.test_case "roundtrip" `Quick test_problem_file_roundtrip;
       Alcotest.test_case "center/eps form" `Quick test_problem_file_center_eps_form;
       Alcotest.test_case "constraints form" `Quick test_problem_file_constraints_form;
       Alcotest.test_case "rejects garbage" `Quick test_problem_file_rejects_garbage;
+      defect "rejects missing network" [ ("network", "network missing.onnx") ]
+        ~line:2 ~col:1 ~token:"missing.onnx";
+      Alcotest.test_case "malformed network positioned" `Quick
+        test_problem_file_malformed_network;
       defect "rejects nan constraint offset"
         [ ("constraint", "constraint nan -0x1p+0 0x1p+0") ]
         ~line:5 ~col:12 ~token:"nan";
