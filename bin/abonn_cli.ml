@@ -66,7 +66,7 @@ let with_observability ~trace_file ~progress ~stats ~flight f =
   let sinks =
     List.filter_map Fun.id
       [ Option.map Sink.jsonl_file trace_file;
-        Option.map (fun every -> Sink.progress ~every ()) progress;
+        Option.map (fun every -> Abonn_trace.Monitor.progress ~every ()) progress;
         Option.map fst flight ]
   in
   if stats then begin
@@ -358,8 +358,7 @@ let heuristic_arg =
 
 let appver_arg =
   named_arg "appver" ~docv:"V" ~what:"The AppVer bounding every node"
-    ~name:(fun v -> v.Appver.name) ~default:Appver.deeppoly
-    (Appver.all @ [ Abonn_lp.Lp_verifier.appver ])
+    ~name:(fun v -> v.Appver.name) ~default:Appver.deeppoly Abonn_lp.Lp_verifier.all
 
 let calls_arg =
   Arg.(value & opt int 2000 & info [ "calls" ] ~docv:"N" ~doc:"AppVer-call budget.")

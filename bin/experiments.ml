@@ -47,7 +47,7 @@ let run quick_mode progress artifacts =
   | Some bad ->
     `Error (false, Printf.sprintf "unknown artifact %s (known: %s)" bad (String.concat ", " known))
   | None ->
-    let heartbeat = Option.map (fun every -> Sink.progress ~every ()) progress in
+    let heartbeat = Option.map (fun every -> Abonn_trace.Monitor.progress ~every ()) progress in
     Option.iter Obs.install heartbeat;
     Fun.protect ~finally:(fun () ->
         Option.iter

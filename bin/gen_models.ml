@@ -1,6 +1,7 @@
 (* gen_models: train the Table I benchmark model zoo and cache the
-   weights under a directory as DIR/<name>.onnx (Abonn_nn.Onnx, float64
-   tensors, so a reloaded model is bit-identical).
+   weights under a directory as DIR/<name>-s<seed>-e<epochs>.onnx
+   (Abonn_nn.Onnx, float64 tensors, so a reloaded model is
+   bit-identical; another seed or epoch count trains its own file).
 
    Usage: gen_models [--dir models] [--seed 7] [--epochs 15] *)
 

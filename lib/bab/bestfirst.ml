@@ -43,13 +43,9 @@ let best_first k choose =
   in
   Expand.finish k ~open_nodes:(Heap.length heap) verdict
 
-let verify ?(appver = Appver.deeppoly) ?(heuristic = Branching.default) ?budget
-    ?domains problem =
+let search ?(heuristic = Branching.default) ?domains k =
   let domains = Expand.domains domains in
-  let k =
-    Expand.create ~engine:"bestfirst" ~metrics:"bestfirst" ~appver ?budget problem
-  in
-  let prepare _ = heuristic.Branching.prepare problem in
+  let prepare _ = heuristic.Branching.prepare (Expand.problem k) in
   (* [domains > 1] trades the global p̂ order for the pool's per-domain
      LIFO + steal order (docs/PARALLELISM.md); the verdict of complete
      runs is unchanged *)
@@ -57,3 +53,7 @@ let verify ?(appver = Appver.deeppoly) ?(heuristic = Branching.default) ?budget
   else
     Parfrontier.run k ~domains ([], 0, None)
       (Expand.visit k (Array.init domains prepare))
+
+let verify ?(appver = Appver.deeppoly) ?heuristic ?budget ?domains problem =
+  search ?heuristic ?domains
+    (Expand.create ~engine:"bestfirst" ~metrics:"bestfirst" ~appver ?budget problem)

@@ -8,7 +8,12 @@
     step, and counted as nodes then: a counterexample in the first
     child ends the run before the second is created.  This engine is
     the search backbone of the αβ-CROWN-style baseline
-    ([Abonn_crown]). *)
+    ([Abonn_crown]), which runs {!search} on a run it names itself. *)
+
+val search : ?heuristic:Branching.t -> ?domains:int -> Expand.t -> Result.t
+(** Best-first BaB on a run created by the caller ({!Expand.create}),
+    which names the engine in traces and metrics.  [heuristic] and
+    [domains] default as in {!verify}. *)
 
 val verify :
   ?appver:Abonn_prop.Appver.t ->

@@ -17,6 +17,7 @@ type check_error =
   | Leaf_not_proved of Split.gamma * float
   | Coverage_gap of Split.gamma
   | Duplicate_or_overlap of Split.gamma
+  | Unknown_appver of string
 
 let num_leaves t = List.length t.leaves
 
@@ -26,6 +27,7 @@ let pp_error fmt = function
   | Coverage_gap gamma -> Format.fprintf fmt "split space not covered below %a" Split.pp gamma
   | Duplicate_or_overlap gamma ->
     Format.fprintf fmt "overlapping leaves below %a" Split.pp gamma
+  | Unknown_appver name -> Format.fprintf fmt "no AppVer is named %S" name
 
 (* The leaves must be exactly the leaf set of a binary split tree: at
    every internal node all leaves agree on the split ReLU and both
@@ -86,12 +88,7 @@ let replayer appver problem =
   in
   fun gamma -> walk [] None gamma
 
-let check ?appver problem t =
-  let appver =
-    match appver with
-    | Some v -> v
-    | None -> Option.value ~default:Appver.deeppoly (Appver.find t.appver_name)
-  in
+let check_under appver problem t =
   let replay = replayer appver problem in
   (* 1. replay every leaf; exact leaves are decided under the replayed
      bounds, as the engine decided them *)
@@ -115,3 +112,11 @@ let check ?appver problem t =
   match replay_leaves t.leaves with
   | Error _ as e -> e
   | Ok () -> check_cover ~prefix:[] (List.map (fun l -> l.gamma) t.leaves)
+
+let check ?appver problem t =
+  let named () =
+    List.find_opt (fun (v : Appver.t) -> v.name = t.appver_name) Abonn_lp.Lp_verifier.all
+  in
+  match (match appver with Some _ -> appver | None -> named ()) with
+  | Some appver -> check_under appver problem t
+  | None -> Error (Unknown_appver t.appver_name)

@@ -39,15 +39,20 @@ type check_error =
   | Coverage_gap of Abonn_spec.Split.gamma
       (** a region of the split space is not covered by any leaf *)
   | Duplicate_or_overlap of Abonn_spec.Split.gamma
+  | Unknown_appver of string
+      (** no AppVer in [Abonn_lp.Lp_verifier.all] has the certificate's
+          [appver_name] *)
 
 val check :
   ?appver:Abonn_prop.Appver.t ->
   Abonn_spec.Problem.t ->
   t ->
   (unit, check_error) result
-(** Replay every leaf and verify the leaves form a partition of the
-    split space (an exact binary-tree cover: for every internal node,
-    both phases of the split ReLU are covered).  Prefixes shared by
+(** Replay every leaf under [appver] (default: the AppVer in
+    [Abonn_lp.Lp_verifier.all] named by the certificate) and verify the
+    leaves form a partition of the split space (an exact binary-tree
+    cover: for every internal node, both phases of the split ReLU are
+    covered).  Prefixes shared by
     several leaves are bounded once.  A [by_exact] leaf the replayed
     bound does not prove is decided by [Exact.resolve] under the
     replayed bounds; a leaf that cannot be resolved there (bounds not

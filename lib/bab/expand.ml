@@ -180,21 +180,26 @@ let popped k ?(priority = Float.nan) ?runner_up ~depth ~frontier () =
   end;
   tick k ~open_nodes:frontier
 
-let finish k ~open_nodes verdict =
-  let verdict =
-    match verdict with
-    | Verdict.Verified when Atomic.get k.unresolved > 0 -> Verdict.Timeout
-    | v -> v
-  in
+let reached k verdict ~nodes ~max_depth =
   let wall_time = Unix.gettimeofday () -. k.started in
-  let nodes = Atomic.get k.nodes and max_depth = Atomic.get k.max_depth in
-  Resource.final k.resource ~open_nodes ~nodes ~max_depth;
   if Obs.tracing () then
     Obs.emit
       (Ev.Verdict_reached
          { engine = k.engine; verdict = Verdict.to_string verdict; elapsed = wall_time });
   Result.make ~verdict ~appver_calls:(Budget.calls_used k.budget) ~nodes ~max_depth
     ~wall_time
+
+let finish k ~open_nodes verdict =
+  let verdict =
+    match verdict with
+    | Verdict.Verified when Atomic.get k.unresolved > 0 -> Verdict.Timeout
+    | v -> v
+  in
+  let nodes = Atomic.get k.nodes and max_depth = Atomic.get k.max_depth in
+  Resource.final k.resource ~open_nodes ~nodes ~max_depth;
+  reached k verdict ~nodes ~max_depth
+
+let decided k verdict = reached k verdict ~nodes:0 ~max_depth:0
 
 let certificate k result =
   match (k.leaves, result.Result.verdict) with

@@ -132,5 +132,9 @@ val finish : t -> open_nodes:int -> Abonn_spec.Verdict.t -> Result.t
 (** End the run: a final resource sample, the [verdict_reached] event
     and the engine's [Result]. *)
 
+val decided : t -> Abonn_spec.Verdict.t -> Result.t
+(** End a run decided before its root was bounded (ab-crown's attack):
+    the [verdict_reached] event and a [Result] with no nodes. *)
+
 val certificate : t -> Result.t -> Certificate.t option
 (** The discharged leaves of a [Verified] run created with [certify]. *)

@@ -90,8 +90,11 @@ let train ?(seed = 7) ?(epochs = 15) (spec : spec) =
   let net = Trainer.train ~config rng net dataset.Synth.train in
   evaluate spec net dataset
 
+let cache_file ~seed ~epochs (spec : spec) =
+  Printf.sprintf "%s-s%d-e%d.onnx" spec.name seed epochs
+
 let train_cached ~dir ?(seed = 7) ?(epochs = 15) (spec : spec) =
-  let path = Filename.concat dir (spec.name ^ ".onnx") in
+  let path = Filename.concat dir (cache_file ~seed ~epochs spec) in
   if Sys.file_exists path then begin
     let network = Onnx.load path in
     evaluate spec network (dataset_for spec.dataset)

@@ -8,7 +8,8 @@
     WIDE widens BASE's channels, DEEP doubles BASE's conv depth.
 
     Training is deterministic from the seed; trained weights can be
-    cached on disk as ONNX files through [train_cached]. *)
+    cached on disk as ONNX files, one per model, seed and epoch count,
+    through [train_cached]. *)
 
 type dataset_kind = Mnist_like | Cifar_like
 
@@ -43,7 +44,13 @@ val dataset_for : ?seed:int -> dataset_kind -> Synth.t
 val train : ?seed:int -> ?epochs:int -> spec -> trained
 (** Build, train and evaluate (defaults: seed 7, 15 epochs). *)
 
+val cache_file : seed:int -> epochs:int -> spec -> string
+(** ["<name>-s<seed>-e<epochs>.onnx"], e.g. ["mnist_l2-s7-e15.onnx"]:
+    the file {!train_cached} keeps a trained network in. *)
+
 val train_cached : dir:string -> ?seed:int -> ?epochs:int -> spec -> trained
-(** Like [train] but loads the network from [dir/<name>.onnx] when
+(** Like [train] but loads the network from [dir/]{!cache_file} when
     present and writes it there after training otherwise ([Onnx]'s
-    [F64] encoding, so a reloaded network is bit-identical). *)
+    [F64] encoding, so a reloaded network is bit-identical).  The seed
+    and epoch count are part of the file name, so a cache never answers
+    for a different training run. *)

@@ -32,7 +32,8 @@ val default_engines : engine list
 
 val per_call_cost : Abonn_spec.Problem.t -> float
 (** Median wall-clock seconds of a root DeepPoly call on this problem
-    (3 timed runs). *)
+    (3 timed runs of the uninstrumented [Deeppoly.analyse_warm], so a
+    traced sweep gains no event and no counter). *)
 
 type record = {
   instance : Abonn_data.Instances.t;

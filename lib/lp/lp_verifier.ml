@@ -328,3 +328,5 @@ let run_warm ?state (problem : Problem.t) gamma =
 let run problem gamma = fst (run_warm problem gamma)
 
 let appver = { Abonn_prop.Appver.name = "lp"; run; warm = Some run_warm }
+
+let all = Abonn_prop.Appver.all @ [ appver ]

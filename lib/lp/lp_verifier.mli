@@ -53,3 +53,8 @@ val appver : Abonn_prop.Appver.t
 (** [run] registered under the name ["lp"], with [run_warm] as the warm
     entry point.  [{ appver with warm = None }] is the same verifier
     without parent states. *)
+
+val all : Abonn_prop.Appver.t list
+(** [Abonn_prop.Appver.all] and {!appver}: every AppVer by name, as
+    [abonn_cli --appver] offers them and [Certificate.check] replays
+    under them. *)

@@ -34,68 +34,6 @@ let jsonl_emit oc =
 
 let jsonl_channel oc = { emit = jsonl_emit oc; close = (fun () -> flush oc) }
 
-let progress ?(out = stderr) ?(every = 2.0) () =
-  (* A non-positive cadence would reprint on every event; clamp to a
-     sane minimum instead of spinning the terminal. *)
-  let every = if every <= 0.0 then 0.1 else every in
-  (* Heartbeat aggregates, updated on every event; a line is (re)printed
-     at most once per [every] seconds of trace time, carriage-return
-     overwritten in place.  [close] finishes with a newline so the next
-     shell prompt starts clean. *)
-  let calls = ref 0 and nodes = ref 0 and max_depth = ref 0 in
-  let runs = ref 0 and best = ref Float.nan and last_print = ref neg_infinity in
-  let started = ref false and dirty = ref false and last_t = ref 0.0 in
-  let better v = if Float.is_nan !best || v > !best then best := v in
-  let line t =
-    let reward =
-      if Float.is_nan !best then "-"
-      else if !best = Float.infinity then "+inf"
-      else if !best = Float.neg_infinity then "-inf"
-      else Printf.sprintf "%.4f" !best
-    in
-    Printf.sprintf "[%8.1fs] calls=%d nodes=%d depth=%d best=%s%s" t !calls !nodes
-      !max_depth reward
-      (if !runs > 0 then Printf.sprintf " runs=%d" !runs else "")
-  in
-  let print t =
-    started := true;
-    dirty := false;
-    last_print := t;
-    output_char out '\r';
-    output_string out (line t);
-    flush out
-  in
-  { emit =
-      (fun env ->
-        (match env.Event.event with
-         | Event.Node_evaluated { depth; reward; _ } ->
-           incr nodes;
-           incr calls;
-           if depth > !max_depth then max_depth := depth;
-           better reward
-         | Event.Frontier_pop { depth; _ } ->
-           incr nodes;
-           incr calls;
-           if depth > !max_depth then max_depth := depth
-         | Event.Exact_leaf { depth; verified; _ } ->
-           incr calls;
-           if depth > !max_depth then max_depth := depth;
-           if not verified then better Float.infinity
-         | Event.Run_finished _ -> incr runs
-         | _ -> ());
-        dirty := true;
-        last_t := env.Event.t;
-        if env.Event.t -. !last_print >= every then print env.Event.t);
-    close =
-      (fun () ->
-        if !started then begin
-          (* events arrived since the last heartbeat: print the final
-             aggregate so the line the user is left with is complete *)
-          if !dirty then print !last_t;
-          output_char out '\n';
-          flush out
-        end) }
-
 let jsonl_file path =
   let oc = open_out path in
   let closed = ref false in

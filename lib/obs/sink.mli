@@ -31,17 +31,6 @@ val jsonl_file : string -> t
     same eager-flush policy as {!jsonl_channel}; [close] flushes and
     closes the file. *)
 
-val progress : ?out:out_channel -> ?every:float -> unit -> t
-(** Single-line live heartbeat for long runs: aggregates the event
-    stream into [elapsed, AppVer calls, nodes, max depth, best reward]
-    (plus completed harness runs when present) and rewrites one
-    [\r]-terminated line on [out] (default [stderr]) at most once per
-    [every] seconds (default 2; non-positive values clamp to 0.1) of
-    trace time, flushing after each heartbeat.  [close] terminates the
-    line with a newline.  Costs one pattern match per event; installs
-    like any sink, so runs without it keep the single-branch overhead
-    guarantee. *)
-
 (** {1 Flight recorder}
 
     A bounded in-memory ring that keeps the newest [capacity] events

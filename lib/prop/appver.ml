@@ -172,5 +172,3 @@ let interval = observed { name = "interval"; run = Interval.run; warm = None }
 let zonotope = observed { name = "zonotope"; run = Zonotope.run; warm = None }
 
 let all = [ deeppoly; deeppoly_zero; deeppoly_one; zonotope; interval ]
-
-let find name = List.find_opt (fun v -> v.name = name) all

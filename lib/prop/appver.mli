@@ -90,6 +90,3 @@ val zonotope : t
     reference [16]; incomparable in tightness with [deeppoly]. *)
 
 val all : t list
-
-val find : string -> t option
-(** Look up by [name]. *)

@@ -11,49 +11,20 @@ type point = {
 }
 
 let of_events events =
-  let points = ref [] in
-  let calls = ref 0 and nodes = ref 0 and max_depth = ref 0 in
-  let frontier = ref 0 and best = ref Float.nan in
-  (* ABONN frontier: open leaves.  A node leaves the open set when it is
-     expanded, i.e. when its first child arrives. *)
-  let open_set : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let better v = if Float.is_nan !best || v > !best then best := v in
-  let push env =
-    points :=
-      { t = env.Event.t; seq = env.Event.seq; calls = !calls; nodes = !nodes;
-        max_depth = !max_depth; frontier = !frontier; best_reward = !best }
-      :: !points
-  in
-  List.iter
-    (fun env ->
-      match env.Event.event with
-      | Event.Node_evaluated { depth; gamma; reward; _ } ->
-        incr calls;
-        incr nodes;
-        if depth > !max_depth then max_depth := depth;
-        better reward;
-        (match Tree.parent_gamma gamma with
-         | Some pg when Hashtbl.mem open_set pg -> Hashtbl.remove open_set pg
-         | Some _ | None -> ());
-        if Float.is_finite reward then Hashtbl.add open_set gamma ();
-        frontier := Hashtbl.length open_set;
-        push env
-      | Event.Frontier_pop { depth; frontier = f; priority; _ } ->
-        incr calls;
-        incr nodes;
-        if depth > !max_depth then max_depth := depth;
-        if Float.is_finite priority then better priority;
-        frontier := f;
-        push env
-      | Event.Exact_leaf { verified; depth; _ } ->
-        incr calls;
-        if depth > !max_depth then max_depth := depth;
-        if not verified then better infinity;
-        push env
-      | Event.Verdict_reached _ -> push env
-      | _ -> ())
-    events;
-  List.rev !points
+  let m = Summary.create () in
+  List.rev
+    (List.fold_left
+       (fun points env ->
+         Summary.feed m env;
+         if Summary.progress env.Event.event then begin
+           let r = Summary.run m in
+           { t = env.Event.t; seq = env.Event.seq; calls = r.Summary.calls;
+             nodes = r.Summary.nodes; max_depth = r.Summary.max_depth;
+             frontier = r.Summary.frontier; best_reward = r.Summary.best_reward }
+           :: points
+         end
+         else points)
+       [] events)
 
 let fnum v =
   if v = infinity then "inf"

@@ -1,17 +1,12 @@
 (** Anytime-progress curves: search state as a function of trace time.
 
-    One {!point} is appended per search-progress event (node evaluated,
-    frontier pop, exact leaf, verdict), tracking the running AppVer-call
-    count, node count, max depth, frontier size and best reward — the
-    time-to-bound curves used to compare exploration orders (Bunel et
-    al. style).  [best_reward] is the maximum Def. 1 potentiality seen
-    so far ([+inf] once a counterexample is found); for engines that do
-    not score nodes it is the best heap priority, else [nan].
-
-    [frontier] is the engine's open-set size: for the baselines the
-    queue/heap size reported by [frontier_pop]; for ABONN the number of
-    evaluated-but-unexpanded nodes with finite reward, maintained
-    incrementally from the gamma strings. *)
+    One {!point} is a snapshot of the run model ({!Summary}) taken at
+    each search-progress event ({!Summary.progress}: node evaluated,
+    frontier pop, exact leaf, verdict): AppVer calls, nodes, max depth,
+    frontier and best reward, the time-to-bound curves used to compare
+    exploration orders (Bunel et al. style).  The counting rules are the
+    model's, so the last point of a finished run shows the engine's own
+    calls, nodes and max depth. *)
 
 type point = {
   t : float;  (** trace-relative seconds *)

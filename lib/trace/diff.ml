@@ -1,5 +1,3 @@
-module Event = Abonn_obs.Event
-
 type divergence = {
   index : int;
   depth_a : int;
@@ -19,42 +17,23 @@ type t = {
   phases_b : Phases.t;
 }
 
-(* The visit sequence: one entry per node the engine materialised, in
-   visit order.  ABONN visits via node_evaluated (gamma known), the
-   baselines via frontier_pop (depth only). *)
-let visits events =
-  List.filter_map
-    (fun env ->
-      match env.Event.event with
-      | Event.Node_evaluated { depth; gamma; _ } -> Some (Some gamma, depth)
-      | Event.Frontier_pop { depth; _ } -> Some (None, depth)
-      | _ -> None)
-    events
-
 let first_segment events =
   match Summary.segments events with seg :: _ -> seg | [] -> []
 
 let diff a b =
   let seg_a = first_segment a and seg_b = first_segment b in
-  let va = visits seg_a and vb = visits seg_b in
-  let rec walk i xs ys =
-    match xs, ys with
-    | [], _ | _, [] -> (i, None)
-    | (ga, da) :: xs', (gb, db) :: ys' ->
-      let same =
-        match ga, gb with
-        | Some ga, Some gb -> ga = gb
-        | _ -> da = db
-      in
-      if same then walk (i + 1) xs' ys'
-      else (i, Some { index = i; depth_a = da; depth_b = db; gamma_a = ga; gamma_b = gb })
-  in
-  let shared_prefix, divergence = walk 0 va vb in
+  let va = Summary.visits seg_a and vb = Summary.visits seg_b in
+  let shared_prefix, first = Summary.common_prefix va vb in
   { run_a = Summary.of_events seg_a;
     run_b = Summary.of_events seg_b;
     visits_a = List.length va;
     visits_b = List.length vb;
-    divergence;
+    divergence =
+      Option.map
+        (fun ((x : Summary.visit), (y : Summary.visit)) ->
+          { index = shared_prefix; depth_a = x.depth; depth_b = y.depth;
+            gamma_a = x.gamma; gamma_b = y.gamma })
+        first;
     shared_prefix;
     phases_a = Phases.of_events seg_a;
     phases_b = Phases.of_events seg_b }

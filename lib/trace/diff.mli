@@ -5,9 +5,10 @@
     ({!Summary.run}), the number of node visits needed to reach the
     verdict, and the phase breakdown ({!Phases.t}); plus the divergence
     point of the two visit sequences — the first index at which the two
-    engines visit different sub-problems.  Visits are compared by gamma
-    when both traces carry gammas (ABONN vs ABONN), by depth otherwise
-    (the baselines only record depths). *)
+    engines visit different sub-problems.  Visits and their comparison
+    are the run model's ({!Summary.common_prefix}): by gamma when both
+    visits carry one (ABONN vs ABONN), by depth otherwise (the baselines
+    only record depths). *)
 
 type divergence = {
   index : int;  (** 0-based position in the visit sequences *)

@@ -82,7 +82,7 @@ let wasted_work ~verdict tree =
       let rec mark gamma =
         if not (Hashtbl.mem useful gamma) then begin
           Hashtbl.replace useful gamma ();
-          match Tree.parent_gamma gamma with
+          match Summary.parent_gamma gamma with
           | Some p -> mark p
           | None -> ()
         end
@@ -201,40 +201,19 @@ let branch_stats events =
 
 (* --- policy divergence vs a second trace --- *)
 
-(* Visit sequence: gamma strings when the engine records them
-   (node_evaluated), else pop depths — enough to tell when two runs of
-   the same instance stopped exploring the same region. *)
-let visits events =
-  let gammas =
-    List.filter_map
-      (fun env ->
-        match env.Event.event with
-        | Event.Node_evaluated { gamma; _ } -> Some gamma
-        | _ -> None)
-      events
-  in
-  if gammas <> [] then gammas
-  else
-    List.filter_map
-      (fun env ->
-        match env.Event.event with
-        | Event.Frontier_pop { depth; _ } -> Some (string_of_int depth)
-        | _ -> None)
-      events
-
+(* The visit sequences compared by the run model's visit rule; the
+   visit sets are keyed by gamma, or by depth where a visit has none. *)
 let diverge a b =
-  let va = visits a and vb = visits b in
-  let rec prefix i = function
-    | x :: xs, y :: ys when String.equal x y -> prefix (i + 1) (xs, ys)
-    | rest -> (i, rest)
-  in
-  let common, rest = prefix 0 (va, vb) in
-  let first_divergence =
-    match rest with _ :: _, _ :: _ -> Some common | _ -> None
-  in
+  let va = Summary.visits a and vb = Summary.visits b in
+  let common, first = Summary.common_prefix va vb in
   let set l =
     let t = Hashtbl.create 64 in
-    List.iter (fun x -> Hashtbl.replace t x ()) l;
+    List.iter
+      (fun (v : Summary.visit) ->
+        Hashtbl.replace t
+          (match v.gamma with Some g -> g | None -> string_of_int v.depth)
+          ())
+      l;
     t
   in
   let sa = set va and sb = set vb in
@@ -243,22 +222,20 @@ let diverge a b =
   in
   let union = Hashtbl.length sa + Hashtbl.length sb - inter in
   { common_prefix = common;
-    first_divergence;
+    first_divergence = Option.map (fun _ -> common) first;
     jaccard =
       (if union > 0 then float_of_int inter /. float_of_int union else 1.0);
     only_a = Hashtbl.length sa - inter;
     only_b = Hashtbl.length sb - inter }
 
 let of_events ?vs events =
-  let summary = Summary.of_events events in
+  let run = Summary.of_events events in
   let tree = Tree.build events in
-  let wasted, wasted_frac, open_frac =
-    wasted_work ~verdict:summary.Summary.verdict tree
-  in
+  let wasted, wasted_frac, open_frac = wasted_work ~verdict:run.Summary.verdict tree in
   let branch_decisions, branch_margin = branch_stats events in
-  { engine = summary.Summary.engine;
-    verdict = summary.Summary.verdict;
-    nodes = tree.Tree.shape.Tree.nodes;
+  { engine = run.Summary.engine;
+    verdict = run.Summary.verdict;
+    nodes = run.Summary.nodes;
     wasted;
     wasted_frac;
     open_frac;

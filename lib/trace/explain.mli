@@ -10,7 +10,9 @@
     Tree-derived metrics (wasted work, reward-prediction error) need
     only the ordinary [node_evaluated] stream; the balance table is fed
     by [ucb_decision] introspection events and is empty for traces
-    recorded without [--introspect]. *)
+    recorded without [--introspect].  Engine, verdict and node count are
+    the run model's ({!Summary}), and visit orders are compared by its
+    visit rule ({!Summary.common_prefix}), as [diff] compares them. *)
 
 type depth_balance = {
   depth : int;
@@ -30,7 +32,7 @@ type reward_error = {
 }
 
 type divergence = {
-  common_prefix : int;  (** identical leading visits in both traces *)
+  common_prefix : int;  (** leading visits both traces share *)
   first_divergence : int option;
       (** 0-based index of the first differing visit; [None] when one
           visit sequence is a prefix of the other *)
@@ -42,7 +44,7 @@ type divergence = {
 type t = {
   engine : string;
   verdict : string option;
-  nodes : int;  (** reconstructed tree size ({!Tree.shape}) *)
+  nodes : int;  (** the run's nodes ({!Summary.run}) *)
   wasted : int;
       (** falsified runs: evaluated nodes off every root-to-counterexample
           path; verified runs: [0] (every subtree had to be proved) *)

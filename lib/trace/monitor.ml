@@ -1,71 +1,37 @@
-(* Live-run aggregation behind [abonn_trace watch]: a fold over the
-   event stream (fed incrementally by [Reader.tail_poll]) plus a
-   terminal dashboard renderer.  Unlike [Summary], which reconstructs a
-   finished run exactly, the monitor keeps only what a live view needs:
-   running totals, a depth histogram, a recent-window node rate, the
-   phase split so far (a [Spans] model, so nested spans count once)
+(* Live-run view behind [abonn_trace watch] and the [--progress]
+   heartbeat: the current run's model ([Summary], reset when a new run
+   starts) plus what only a live view needs: a recent-window node rate,
+   the phase split so far (a [Spans] model, so nested spans count once)
    and the resource (memory) curve. *)
 
 module Event = Abonn_obs.Event
+module Sink = Abonn_obs.Sink
 module Table = Abonn_util.Table
 
 type t = {
-  mutable engine : string option;
-  mutable instance : string option;
-  mutable verdict : string option;
-  mutable finished : bool;
-  mutable harness : bool;  (* inside a run_started..run_finished bracket *)
-  mutable events : int;
-  mutable calls : int;
-  mutable nodes : int;
-  mutable max_depth : int;
-  mutable frontier : int;
-  mutable best : float;
+  mutable run : Summary.t;  (* the current run *)
+  mutable runs : int;  (* harness runs finished so far *)
   mutable t_last : float;
   spans : Spans.t;  (* the phase split, nesting resolved *)
-  mutable depth_hist : int array;  (* grown on demand *)
   window : (float * int) Queue.t;  (* (t, nodes) for the recent node rate *)
   mutable rss_curve : (float * int) list;  (* (t, rss_bytes), newest first *)
   mutable last_sample : Event.t option;  (* latest Resource_sample payload *)
-  mutable domains : int;  (* distinct worker domains seen (0 = sequential) *)
 }
 
 let create () =
-  { engine = None;
-    instance = None;
-    verdict = None;
-    finished = false;
-    harness = false;
-    events = 0;
-    calls = 0;
-    nodes = 0;
-    max_depth = 0;
-    frontier = 0;
-    best = Float.nan;
+  { run = Summary.create ();
+    runs = 0;
     t_last = 0.0;
     spans = Spans.create ();
-    depth_hist = Array.make 16 0;
     window = Queue.create ();
     rss_curve = [];
-    last_sample = None;
-    domains = 0 }
+    last_sample = None }
 
 let window_seconds = 5.0
 let rss_curve_cap = 512
 
-let better m v = if Float.is_nan m.best || v > m.best then m.best <- v
-
-let count_depth m d =
-  if d > m.max_depth then m.max_depth <- d;
-  if d >= Array.length m.depth_hist then begin
-    let grown = Array.make (2 * (d + 1)) 0 in
-    Array.blit m.depth_hist 0 grown 0 (Array.length m.depth_hist);
-    m.depth_hist <- grown
-  end;
-  m.depth_hist.(d) <- m.depth_hist.(d) + 1
-
-let note_node m t =
-  Queue.push (t, m.nodes) m.window;
+let note_nodes m t nodes =
+  Queue.push (t, nodes) m.window;
   while
     (not (Queue.is_empty m.window))
     && fst (Queue.peek m.window) < t -. window_seconds
@@ -74,67 +40,23 @@ let note_node m t =
   done
 
 let feed m env =
-  m.events <- m.events + 1;
+  if Summary.starts m.run env then m.run <- Summary.create ();
+  Summary.feed m.run env;
   m.t_last <- env.Event.t;
   Spans.feed m.spans env;
-  (match env.Event.domain with
-   | Some d when d + 1 > m.domains -> m.domains <- d + 1
-   | Some _ | None -> ());
   match env.Event.event with
-  | Event.Run_started { engine; instance } ->
-    m.harness <- true;
-    m.engine <- Some engine;
-    m.instance <- Some instance
-  | Event.Run_finished { verdict; _ } ->
-    m.verdict <- Some verdict;
-    m.finished <- true;
-    m.harness <- false
-  | Event.Node_evaluated { depth; reward; _ } ->
-    m.calls <- m.calls + 1;
-    m.nodes <- m.nodes + 1;
-    count_depth m depth;
-    better m reward;
-    note_node m env.Event.t
-  | Event.Frontier_pop { depth; frontier; priority; _ } ->
-    m.calls <- m.calls + 1;
-    m.nodes <- m.nodes + 1;
-    m.frontier <- frontier;
-    count_depth m depth;
-    if Float.is_finite priority then better m priority;
-    note_node m env.Event.t
-  | Event.Exact_leaf { depth; verified; _ } ->
-    m.calls <- m.calls + 1;
-    count_depth m depth;
-    if not verified then better m Float.infinity
-  | Event.Node_selected { engine; _ } | Event.Backprop { engine; _ } ->
-    if m.engine = None then m.engine <- Some engine
-  (* span events feed the phase split above *)
-  | Event.Bound_computed _ | Event.Lp_solved _ | Event.Attack_tried _
-  | Event.Bound_reuse _ | Event.Lp_warm _ ->
-    ()
-  | Event.Resource_sample ({ engine; rss_bytes; open_nodes; _ } as s) ->
-    if m.engine = None then m.engine <- Some engine;
-    m.frontier <- Stdlib.max m.frontier open_nodes;
-    m.last_sample <- Some (Event.Resource_sample s);
+  | Event.Run_finished _ -> m.runs <- m.runs + 1
+  | Event.Resource_sample { rss_bytes; _ } as s ->
+    m.last_sample <- Some s;
     m.rss_curve <-
       (env.Event.t, rss_bytes)
       :: (if List.length m.rss_curve >= rss_curve_cap then
             List.filteri (fun i _ -> i < rss_curve_cap - 1) m.rss_curve
           else m.rss_curve)
-  | Event.Verdict_reached { engine; verdict; _ } ->
-    if m.engine = None then m.engine <- Some engine;
-    m.verdict <- Some verdict;
-    (* inside a harness bracket the engine verdict is interior
-       bookkeeping; the bracketing run_finished ends the run *)
-    if not m.harness then m.finished <- true
-  | Event.Domain_summary { domain; _ } ->
-    if domain + 1 > m.domains then m.domains <- domain + 1
-  (* decision-level introspection annotates events already counted above *)
-  | Event.Ucb_decision _ | Event.Branch_decision _ | Event.Frontier_decision _
-    ->
-    ()
+  | ev ->
+    if Summary.progress ev then note_nodes m env.Event.t (Summary.run m.run).Summary.nodes
 
-let finished m = m.finished
+let finished m = Summary.closed m.run
 
 (* nodes/sec over the retained window: newest minus oldest entry. *)
 let nodes_per_sec m =
@@ -184,31 +106,32 @@ let rss_sparkline ?(width = 48) m =
     done;
     Some (lo, hi, Buffer.contents buf)
 
-let fbest m =
-  if Float.is_nan m.best then "-"
-  else if m.best = Float.infinity then "+inf"
-  else if m.best = Float.neg_infinity then "-inf"
-  else Printf.sprintf "%.4f" m.best
+let fbest v =
+  if Float.is_nan v then "-"
+  else if v = Float.infinity then "+inf"
+  else if v = Float.neg_infinity then "-inf"
+  else Printf.sprintf "%.4f" v
 
 let render ?(width = 72) ?calls_budget m =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let r = Summary.run m.run in
   line "ABONN live monitor  %s%s"
-    (Option.value ~default:"(engine pending)" m.engine)
-    (match m.instance with Some i -> "  " ^ i | None -> "");
+    (if r.Summary.engine = "?" then "(engine pending)" else r.Summary.engine)
+    (match r.Summary.instance with Some i -> "  " ^ i | None -> "");
   line "%s" (String.make (Stdlib.min width 72) '-');
-  line "elapsed %8.1fs   events %8d   status %s" m.t_last m.events
-    (match m.verdict with
-     | Some v -> v ^ (if m.finished then "" else " (engine)")
+  line "elapsed %8.1fs   events %8d   status %s" m.t_last r.Summary.events
+    (match r.Summary.verdict with
+     | Some v -> v ^ (if finished m then "" else " (engine)")
      | None -> "running");
   let nps = nodes_per_sec m in
   line "nodes %8d   calls %8d   depth %4d   frontier %6d   %8.1f nodes/s"
-    m.nodes m.calls m.max_depth m.frontier nps;
-  if m.domains > 0 then line "domains %6d" m.domains;
-  line "best reward %s" (fbest m);
+    r.Summary.nodes r.Summary.calls r.Summary.max_depth r.Summary.frontier nps;
+  if r.Summary.domains > 0 then line "domains %6d" r.Summary.domains;
+  line "best reward %s" (fbest r.Summary.best_reward);
   (match calls_budget with
-   | Some budget when nps > 0.0 && not m.finished ->
-     let remaining = Stdlib.max 0 (budget - m.calls) in
+   | Some budget when nps > 0.0 && not (finished m) ->
+     let remaining = Stdlib.max 0 (budget - r.Summary.calls) in
      line "budget ETA  %.1fs (%d of %d calls left)"
        (float_of_int remaining /. nps) remaining budget
    | _ -> ());
@@ -221,7 +144,9 @@ let render ?(width = 72) ?calls_budget m =
          cells)
   in
   let appver = time "appver." and lp = time "lp." and attack = time "attack." in
-  let total = Float.max (Spans.capacity ~wall:m.t_last ~domains:m.domains) 1e-9 in
+  let total =
+    Float.max (Spans.capacity ~wall:m.t_last ~domains:r.Summary.domains) 1e-9
+  in
   let search = Float.max 0.0 (total -. appver -. lp -. attack) in
   line "";
   line "phase split     appver %5.1f%%   lp %5.1f%%   attack %5.1f%%   search %5.1f%%"
@@ -241,17 +166,53 @@ let render ?(width = 72) ?calls_budget m =
    | Some (lo, hi, spark) ->
      line "rss curve       [%.1f, %.1f] MiB  |%s|" (mib lo) (mib hi) spark
    | None -> ());
-  (* depth histogram *)
-  if m.max_depth > 0 || m.depth_hist.(0) > 0 then begin
+  (* visit depth profile *)
+  let counts = r.Summary.depth_counts in
+  if Array.exists (fun n -> n > 0) counts then begin
     line "";
     line "depth histogram";
-    let vmax =
-      float_of_int (Array.fold_left Stdlib.max 1 m.depth_hist)
-    in
-    for d = 0 to m.max_depth do
-      let n = if d < Array.length m.depth_hist then m.depth_hist.(d) else 0 in
-      if n > 0 then
-        line "  %4d %6d %s" d n (Table.bar ~width:36 (float_of_int n) vmax)
-    done
+    let vmax = float_of_int (Array.fold_left Stdlib.max 1 counts) in
+    Array.iteri
+      (fun d n ->
+        if n > 0 then line "  %4d %6d %s" d n (Table.bar ~width:36 (float_of_int n) vmax))
+      counts
   end;
   Buffer.contents buf
+
+(* --- the --progress heartbeat --- *)
+
+let progress ?(out = stderr) ?(every = 2.0) () =
+  (* A non-positive cadence would reprint on every event; clamp to a
+     sane minimum instead of spinning the terminal. *)
+  let every = if every <= 0.0 then 0.1 else every in
+  (* A line is (re)printed at most once per [every] seconds of trace
+     time, carriage-return overwritten in place.  [close] finishes with
+     a newline so the next shell prompt starts clean. *)
+  let m = create () in
+  let last_print = ref neg_infinity and started = ref false and dirty = ref false in
+  let print t =
+    let r = Summary.run m.run in
+    started := true;
+    dirty := false;
+    last_print := t;
+    output_char out '\r';
+    output_string out
+      (Printf.sprintf "[%8.1fs] calls=%d nodes=%d depth=%d best=%s%s" t r.Summary.calls
+         r.Summary.nodes r.Summary.max_depth (fbest r.Summary.best_reward)
+         (if m.runs > 0 then Printf.sprintf " runs=%d" m.runs else ""));
+    flush out
+  in
+  { Sink.emit =
+      (fun env ->
+        feed m env;
+        dirty := true;
+        if env.Event.t -. !last_print >= every then print env.Event.t);
+    close =
+      (fun () ->
+        if !started then begin
+          (* events arrived since the last heartbeat: print the final
+             aggregate so the line the user is left with is complete *)
+          if !dirty then print m.t_last;
+          output_char out '\n';
+          flush out
+        end) }

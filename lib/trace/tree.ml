@@ -25,15 +25,6 @@ type shape = {
 
 type t = { root : node option; shape : shape }
 
-let root_gamma = "\xce\xb5" (* ε *)
-
-let parent_gamma gamma =
-  if gamma = root_gamma then None
-  else
-    match String.rindex_opt gamma '.' with
-    | Some i -> Some (String.sub gamma 0 i)
-    | None -> Some root_gamma
-
 let last_token gamma =
   match String.rindex_opt gamma '.' with
   | Some i -> String.sub gamma (i + 1) (String.length gamma - i - 1)
@@ -43,18 +34,10 @@ let build events =
   let by_gamma : (string, node) Hashtbl.t = Hashtbl.create 256 in
   let root = ref None and orphans = ref 0 in
   let exact_verified = ref 0 and exact_falsified = ref 0 in
-  let max_depth = ref 0 and depth_tally : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let untracked = ref 0 in
-  (* nodes seen only through depth-bearing events, no gamma *)
-  let count_depth d =
-    if d > !max_depth then max_depth := d;
-    Hashtbl.replace depth_tally d (1 + Option.value ~default:0 (Hashtbl.find_opt depth_tally d))
-  in
   List.iter
     (fun env ->
       match env.Event.event with
       | Event.Node_evaluated { depth; gamma; phat; reward; _ } ->
-        count_depth depth;
         let node =
           { gamma; token = last_token gamma; depth; phat; reward; seq = env.Event.seq;
             children = [] }
@@ -62,26 +45,18 @@ let build events =
         (* Re-evaluations of the same gamma should not occur; keep the first. *)
         if not (Hashtbl.mem by_gamma gamma) then begin
           Hashtbl.add by_gamma gamma node;
-          match parent_gamma gamma with
+          match Summary.parent_gamma gamma with
           | None -> root := Some node
           | Some pg ->
             (match Hashtbl.find_opt by_gamma pg with
              | Some parent -> parent.children <- parent.children @ [ node ]
              | None -> incr orphans)
         end
-      | Event.Frontier_pop { depth; _ } ->
-        count_depth depth;
-        incr untracked
-      | Event.Exact_leaf { verified; depth; _ } ->
-        if depth > !max_depth then max_depth := depth;
+      | Event.Exact_leaf { verified; _ } ->
         if verified then incr exact_verified else incr exact_falsified
       | _ -> ())
     events;
-  let nodes = Hashtbl.length by_gamma + !untracked in
-  let depth_counts = Array.make (!max_depth + 1) 0 in
-  Hashtbl.iter
-    (fun d n -> if d >= 0 && d < Array.length depth_counts then depth_counts.(d) <- n)
-    depth_tally;
+  let run = Summary.of_events events in
   let interior = ref 0 and proved = ref 0 and cex = ref 0 and open_ = ref 0 in
   Hashtbl.iter
     (fun _ n ->
@@ -92,9 +67,9 @@ let build events =
     by_gamma;
   { root = !root;
     shape =
-      { nodes;
-        max_depth = !max_depth;
-        depth_counts;
+      { nodes = run.Summary.nodes;
+        max_depth = run.Summary.max_depth;
+        depth_counts = run.Summary.depth_counts;
         interior = !interior;
         leaves_proved = !proved;
         leaves_cex = !cex;

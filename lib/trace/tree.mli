@@ -3,10 +3,11 @@
     ABONN serialises every evaluated sub-problem Γ into its
     [node_evaluated] event (the gamma string, TRACE_SCHEMA §1.3), and a
     gamma names the whole root-to-node path — so the tree is recoverable
-    from the events alone: the parent of ["r3+.r17-"] is ["r3+"], the
-    parent of a single token is the root ["ε"].  Baseline traces
+    from the events alone ({!Summary.parent_gamma}).  Baseline traces
     ([frontier_pop], no gamma) cannot be rebuilt as a tree; for those
-    {!build} returns no root but still fills the depth profile.
+    {!build} returns no root.  The shape's node count, max depth and
+    visit depth profile are the run model's ({!Summary}), for every
+    engine.
 
     Leaf status is read off the Def. 1 reward recorded at evaluation
     time: [-inf] proved, [+inf] counterexample, finite = still open
@@ -23,9 +24,9 @@ type node = {
 }
 
 type shape = {
-  nodes : int;  (** tree nodes (= [node_evaluated] events attached) *)
+  nodes : int;  (** the run's nodes ({!Summary.run}) *)
   max_depth : int;
-  depth_counts : int array;  (** [depth_counts.(d)] = nodes at depth [d] *)
+  depth_counts : int array;  (** [depth_counts.(d)] = visits at depth [d] *)
   interior : int;
   leaves_proved : int;
   leaves_cex : int;
@@ -37,16 +38,9 @@ type shape = {
 
 type t = { root : node option; shape : shape }
 
-val root_gamma : string
-(** ["ε"] (UTF-8), the gamma string of the unsplit root. *)
-
-val parent_gamma : string -> string option
-(** Drop the last path component; [None] for the root. *)
-
 val build : Abonn_obs.Event.envelope list -> t
 (** Reconstruct from one run's events.  [root = None] when no
-    [node_evaluated] event carries the root gamma; the depth profile in
-    [shape] then comes from [frontier_pop]/[node_evaluated] events. *)
+    [node_evaluated] event carries the root gamma. *)
 
 val shape_to_string : shape -> string
 (** Shape statistics plus an ASCII depth histogram. *)

@@ -284,7 +284,7 @@ let test_certificate_detects_coverage_gap () =
       match Certificate.check problem broken with
       | Ok () -> Alcotest.fail "gap not detected"
       | Error (Certificate.Coverage_gap _ | Certificate.Duplicate_or_overlap _) -> ()
-      | Error (Certificate.Leaf_not_proved _ as e) ->
+      | Error ((Certificate.Leaf_not_proved _ | Certificate.Unknown_appver _) as e) ->
         Alcotest.fail (Format.asprintf "wrong error: %a" Certificate.pp_error e)
     end
 
@@ -304,6 +304,33 @@ let test_certificate_detects_bogus_leaf () =
      | Error (Certificate.Leaf_not_proved _) -> ()
      | Ok () -> Alcotest.fail "bogus leaf accepted"
      | Error e -> Alcotest.fail (Format.asprintf "wrong error: %a" Certificate.pp_error e))
+
+(* A certificate replays under the AppVer it names, the LP verifier
+   included; a name no AppVer has is a check error, never a replay
+   under another one. *)
+let test_certificate_lp_replays_under_lp () =
+  let checked = ref 0 in
+  for seed = 0 to 39 do
+    let problem = random_problem ~seed ~dims:[ 3; 8; 8; 2 ] ~eps:0.3 () in
+    let _, cert =
+      Bfs.verify_with_certificate ~appver:Abonn_lp.Lp_verifier.appver
+        ~budget:(Budget.of_calls 60) ~domains:1 problem
+    in
+    Option.iter
+      (fun cert ->
+        incr checked;
+        Alcotest.(check string) "names lp" "lp" cert.Certificate.appver_name;
+        (match Certificate.check problem cert with
+         | Ok () -> ()
+         | Error e ->
+           Alcotest.failf "seed %d: %a" seed Certificate.pp_error e);
+        match Certificate.check problem { cert with Certificate.appver_name = "bogus" } with
+        | Error (Certificate.Unknown_appver "bogus") -> ()
+        | Ok () -> Alcotest.fail "unknown AppVer replayed"
+        | Error e -> Alcotest.failf "wrong error: %a" Certificate.pp_error e)
+      cert
+  done;
+  Alcotest.(check bool) "some certificates checked" true (!checked >= 5)
 
 (* --- Input splitting --- *)
 
@@ -357,7 +384,9 @@ let extra_suite =
   [ ( "bab.certificate",
       [ Alcotest.test_case "produced and checks" `Quick test_certificate_produced_and_checks;
         Alcotest.test_case "detects coverage gap" `Quick test_certificate_detects_coverage_gap;
-        Alcotest.test_case "detects bogus leaf" `Quick test_certificate_detects_bogus_leaf
+        Alcotest.test_case "detects bogus leaf" `Quick test_certificate_detects_bogus_leaf;
+        Alcotest.test_case "lp certificates replay under lp" `Quick
+          test_certificate_lp_replays_under_lp
       ] );
     ( "bab.inputsplit",
       [ Alcotest.test_case "agrees with relu split" `Quick test_inputsplit_agrees_with_relu_split;

@@ -100,17 +100,32 @@ let test_models_training_deterministic () =
        (Network.forward a.Models.network x)
        (Network.forward b.Models.network x))
 
+(* The cache is keyed by seed and epochs: a seed-3 call after a seed-7
+   call into the same directory trains the seed-3 network, and a second
+   seed-3 call loads it bit for bit. *)
 let test_models_cache_roundtrip () =
   let dir = Filename.temp_file "abonn_models" "" in
   Sys.remove dir;
-  let t1 = Models.train_cached ~dir ~epochs:2 Models.mnist_l2 in
-  let t2 = Models.train_cached ~dir ~epochs:2 Models.mnist_l2 in
+  let cached seed = Models.train_cached ~dir ~seed ~epochs:2 Models.mnist_l2 in
+  let _seed7 = cached 7 in
+  let t1 = cached 3 in
+  let t2 = cached 3 in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove (Filename.concat dir "mnist_l2.onnx");
+      List.iter
+        (fun seed ->
+          Sys.remove
+            (Filename.concat dir (Models.cache_file ~seed ~epochs:2 Models.mnist_l2)))
+        [ 3; 7 ];
       Sys.rmdir dir)
     (fun () ->
+      let fresh = Models.train ~seed:3 ~epochs:2 Models.mnist_l2 in
       let x = Array.make 100 0.7 in
+      let bits t = Abonn_nn.Onnx.to_bytes t.Models.network in
+      Alcotest.(check bool) "first seed-3 call is the seed-3 network" true
+        (bits t1 = bits fresh);
+      Alcotest.(check bool) "second seed-3 call loads it bit for bit" true
+        (bits t2 = bits t1);
       Alcotest.(check bool) "cached network identical" true
         (Vector.approx_equal
            (Network.forward t1.Models.network x)

@@ -8,6 +8,7 @@ module Experiment = Abonn_harness.Experiment
 module Report = Abonn_harness.Report
 module Result = Abonn_bab.Result
 module Verdict = Abonn_spec.Verdict
+module Summary = Abonn_trace.Summary
 
 (* One shared miniature suite: a single MLP family, few instances, so the
    whole harness test group stays fast. *)
@@ -48,6 +49,28 @@ let test_runner_cost_model_consistent () =
     let calls = r.Runner.result.Result.stats.Result.appver_calls in
     Alcotest.(check bool) "model_time = cost * calls" true
       (calls = 0 || r.Runner.model_time /. float_of_int calls > 0.0)
+
+(* A traced sweep is one segment per run: the cost model, which the
+   runner times between two run brackets, emits nothing.  It is cached
+   per model, so it is timed here too, whatever ran before. *)
+let test_runner_traced_sweep_segments () =
+  let suite = Lazy.force mini_suite in
+  let sink, events = Abonn_obs.Sink.memory () in
+  Abonn_obs.Obs.with_sink sink (fun () ->
+      List.iter
+        (fun (inst : Instances.t) ->
+          ignore (Runner.per_call_cost inst.Instances.problem);
+          ignore (Runner.run_instance ~calls:50 Runner.bab_baseline inst))
+        suite.Experiment.instances);
+  let runs = Summary.runs (events ()) in
+  Alcotest.(check int) "one segment per run"
+    (List.length suite.Experiment.instances)
+    (List.length runs);
+  List.iter
+    (fun (r : Summary.run) ->
+      Alcotest.(check bool) "bracketed" true (r.Summary.reported <> None);
+      Alcotest.(check bool) "consistent" true (Summary.consistent r))
+    runs
 
 (* --- Experiment --- *)
 
@@ -177,7 +200,9 @@ let suite =
   [ ( "harness.runner",
       [ Alcotest.test_case "engine names" `Quick test_runner_engine_names;
         Alcotest.test_case "record fields" `Quick test_runner_record_fields;
-        Alcotest.test_case "cost model" `Quick test_runner_cost_model_consistent
+        Alcotest.test_case "cost model" `Quick test_runner_cost_model_consistent;
+        Alcotest.test_case "traced sweep is one segment per run" `Quick
+          test_runner_traced_sweep_segments
       ] );
     ( "harness.experiment",
       [ Alcotest.test_case "table1 rows" `Quick test_table1_rows;

@@ -306,9 +306,9 @@ let test_all_slope_policies_sound () =
   done
 
 let test_appver_registry () =
-  Alcotest.(check int) "five verifiers" 5 (List.length Appver.all);
-  Alcotest.(check bool) "find deeppoly" true (Appver.find "deeppoly" <> None);
-  Alcotest.(check bool) "find missing" true (Appver.find "gurobi" = None);
+  Alcotest.(check (list string)) "five verifiers"
+    [ "deeppoly"; "deeppoly-zero"; "deeppoly-one"; "zonotope"; "interval" ]
+    (List.map (fun v -> v.Appver.name) Appver.all);
   List.iter
     (fun v ->
       let problem = random_problem ~seed:70 () in

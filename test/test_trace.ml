@@ -25,6 +25,7 @@ module Spans = Abonn_trace.Spans
 module Curve = Abonn_trace.Curve
 module Summary = Abonn_trace.Summary
 module Diff = Abonn_trace.Diff
+module Monitor = Abonn_trace.Monitor
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -135,7 +136,7 @@ let test_tree_golden_shape () =
   match t.Tree.root with
   | None -> Alcotest.fail "no root"
   | Some root ->
-    Alcotest.(check string) "root gamma" Tree.root_gamma root.Tree.gamma;
+    Alcotest.(check string) "root gamma" Summary.root_gamma root.Tree.gamma;
     Alcotest.(check int) "root children" 2 (List.length root.Tree.children);
     let first = List.hd root.Tree.children in
     Alcotest.(check string) "first child in eval order" "r1+" first.Tree.gamma;
@@ -174,7 +175,11 @@ let test_tree_baseline_profile_only () =
   in
   let t = Tree.build events in
   Alcotest.(check bool) "no root" true (t.Tree.root = None);
-  Alcotest.(check int) "nodes counted" 4 t.Tree.shape.Tree.nodes;
+  (* the run model's bab-baseline count: 4 pops plus the 1 node the
+     last pop left queued *)
+  Alcotest.(check int) "nodes counted" 5 t.Tree.shape.Tree.nodes;
+  Alcotest.(check int) "nodes are summary's" (Summary.of_events events).Summary.nodes
+    t.Tree.shape.Tree.nodes;
   Alcotest.(check (array int)) "depth histogram" [| 1; 2; 1 |]
     t.Tree.shape.Tree.depth_counts
 
@@ -395,7 +400,7 @@ let test_summary_segments_harness_trace () =
     [ env i t0 (Event.Run_started { engine; instance = "inst" });
       env (i + 1) (t0 +. 0.001)
         (Event.Node_evaluated
-           { engine; depth = 0; gamma = Tree.root_gamma; phat = -0.1; reward = 0.1 });
+           { engine; depth = 0; gamma = Summary.root_gamma; phat = -0.1; reward = 0.1 });
       env (i + 2) (t0 +. 0.002)
         (Event.Verdict_reached { engine; verdict; elapsed = 0.002 });
       env (i + 3) (t0 +. 0.003)
@@ -426,7 +431,7 @@ let test_summary_composite_bracket () =
     [ env 1 0.0 (Event.Run_started { engine = "fuzz"; instance = "case-0" });
       env 2 0.001
         (Event.Node_evaluated
-           { engine = "abonn"; depth = 1; gamma = Tree.root_gamma; phat = -0.1;
+           { engine = "abonn"; depth = 1; gamma = Summary.root_gamma; phat = -0.1;
              reward = 0.1 });
       env 3 0.002
         (Event.Verdict_reached { engine = "abonn"; verdict = "falsified"; elapsed = 0.002 });
@@ -560,6 +565,41 @@ let summary_timeout_cases =
       check_timeout_summary ~engine:"inputsplit" (fun ~budget p ->
           Abonn_bab.Inputsplit.verify ~budget ~domains:1 p) ) ]
 
+(* Every reader prints the run model's numbers, so on a finished run
+   each shows the engine's own calls, nodes and max depth, and watch
+   and curve show the same frontier.  deep-s1 under 300 calls: every
+   engine branches and times out, ab-crown after its attack misses. *)
+let check_readers_agree ~engine verify () =
+  let problem = random_problem ~seed:1 ~dims:[ 3; 6; 6; 6; 2 ] ~eps:0.5 () in
+  let result, events = traced_run (fun () -> verify ~budget:(Budget.of_calls 300) problem) in
+  let s = result.Result.stats in
+  check_summary_matches ~engine engine result events;
+  let last = List.nth (Curve.of_events events) (List.length (Curve.of_events events) - 1) in
+  Alcotest.(check (list int)) (engine ^ " curve")
+    [ s.Result.appver_calls; s.Result.nodes; s.Result.max_depth ]
+    [ last.Curve.calls; last.Curve.nodes; last.Curve.max_depth ];
+  let shape = (Tree.build events).Tree.shape in
+  Alcotest.(check (list int)) (engine ^ " tree") [ s.Result.nodes; s.Result.max_depth ]
+    [ shape.Tree.nodes; shape.Tree.max_depth ];
+  Alcotest.(check int) (engine ^ " explain") s.Result.nodes
+    (Abonn_trace.Explain.of_events events).Abonn_trace.Explain.nodes;
+  let m = Monitor.create () in
+  List.iter (Monitor.feed m) events;
+  let watch = Monitor.render m in
+  check_contains (engine ^ " watch totals")
+    (Printf.sprintf "nodes %8d   calls %8d   depth %4d   frontier %6d" s.Result.nodes
+       s.Result.appver_calls s.Result.max_depth last.Curve.frontier)
+    watch
+
+let readers_agree_cases =
+  List.map
+    (fun (engine, verify) -> ("agree on " ^ engine, check_readers_agree ~engine verify))
+    [ ("bab-baseline", fun ~budget p -> Abonn_bab.Bfs.verify ~budget ~domains:1 p);
+      ("bestfirst", fun ~budget p -> Abonn_bab.Bestfirst.verify ~budget ~domains:1 p);
+      ("abonn", fun ~budget p -> Abonn_core.Abonn.verify ~budget ~domains:1 p);
+      ("inputsplit", fun ~budget p -> Abonn_bab.Inputsplit.verify ~budget ~domains:1 p);
+      ("ab-crown", fun ~budget p -> Abonn_crown.Alphabeta.verify ~budget ~domains:1 p) ]
+
 (* --- diff --- *)
 
 let test_diff_self_is_neutral () =
@@ -625,11 +665,11 @@ let test_progress_sink_heartbeat () =
   let path = Filename.temp_file "abonn_progress" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let sink = Sink.progress ~out:oc ~every:0.0 () in
+  let sink = Monitor.progress ~out:oc ~every:0.0 () in
   Obs.with_sink sink (fun () ->
       List.iter Obs.emit
         [ Event.Node_evaluated
-            { engine = "abonn"; depth = 0; gamma = Tree.root_gamma; phat = -0.2;
+            { engine = "abonn"; depth = 0; gamma = Summary.root_gamma; phat = -0.2;
               reward = 0.4 };
           Event.Node_evaluated
             { engine = "abonn"; depth = 1; gamma = "r1+"; phat = -0.1; reward = 0.6 };
@@ -655,16 +695,44 @@ let test_progress_sink_heartbeat () =
   Alcotest.(check bool) "close terminates the line" true
     (String.length content > 0 && content.[String.length content - 1] = '\n')
 
+(* The heartbeat's last line is the run's own count: a bestfirst run
+   evaluates both children of every pop, and its last expansion splits. *)
+let test_progress_ends_on_run_totals () =
+  let problem = random_problem ~seed:1 ~dims:[ 3; 6; 6; 6; 2 ] ~eps:0.5 () in
+  let path = Filename.temp_file "abonn_progress" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let sink = Monitor.progress ~out:oc ~every:0.0 () in
+  let result =
+    Obs.with_sink sink (fun () ->
+        Abonn_bab.Bestfirst.verify ~budget:(Budget.of_calls 300) ~domains:1 problem)
+  in
+  sink.Sink.close ();
+  close_out oc;
+  let ic = open_in path in
+  let content = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let last =
+    String.split_on_char '\r' content
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.rev |> List.hd
+  in
+  let s = result.Result.stats in
+  check_contains "last line is the run's totals"
+    (Printf.sprintf "calls=%d nodes=%d depth=%d" s.Result.appver_calls s.Result.nodes
+       s.Result.max_depth)
+    last
+
 let test_progress_sink_silent_when_uninstalled () =
   (* The single-branch overhead guarantee: an emitted event reaches no
      sink that is not installed. *)
   let path = Filename.temp_file "abonn_progress" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let _sink : Sink.t = Sink.progress ~out:oc ~every:0.0 () in
+  let _sink : Sink.t = Monitor.progress ~out:oc ~every:0.0 () in
   Obs.emit
     (Event.Node_evaluated
-       { engine = "abonn"; depth = 0; gamma = Tree.root_gamma; phat = -0.2; reward = 0.4 });
+       { engine = "abonn"; depth = 0; gamma = Summary.root_gamma; phat = -0.2; reward = 0.4 });
   close_out oc;
   let ic = open_in path in
   let len = in_channel_length ic in
@@ -673,7 +741,6 @@ let test_progress_sink_silent_when_uninstalled () =
 
 (* --- follow (tail) mode --- *)
 
-module Monitor = Abonn_trace.Monitor
 module Registry = Abonn_trace.Registry
 module Regress = Abonn_trace.Regress
 
@@ -682,7 +749,7 @@ let mk_env seq t event = { Event.seq; t; domain = None; event }
 let node_env seq t depth =
   mk_env seq t
     (Event.Node_evaluated
-       { engine = "abonn"; depth; gamma = Tree.root_gamma; phat = -0.2; reward = 0.4 })
+       { engine = "abonn"; depth; gamma = Summary.root_gamma; phat = -0.2; reward = 0.4 })
 
 let append_raw path s =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -1018,8 +1085,14 @@ let suite =
     ( "trace.progress",
       [ Alcotest.test_case "heartbeat aggregates" `Quick test_progress_sink_heartbeat;
         Alcotest.test_case "uninstalled is silent" `Quick
-          test_progress_sink_silent_when_uninstalled
+          test_progress_sink_silent_when_uninstalled;
+        Alcotest.test_case "ends on the run's totals" `Quick
+          test_progress_ends_on_run_totals
       ] );
+    ( "trace.readers",
+      List.map
+        (fun (name, f) -> Alcotest.test_case name `Quick f)
+        readers_agree_cases );
     ( "trace.tail",
       [ Alcotest.test_case "partial-line recovery" `Quick test_tail_partial_line_recovery;
         Alcotest.test_case "integrity across polls" `Quick test_tail_integrity_across_polls;
