@@ -265,7 +265,7 @@ let run problem_file onnx_file vnnlib_file model_name index eps factor engine la
         ~source_format:"native"
     | None, Some onnx_path, Some vnnlib_path ->
       let network = Abonn_nn.Onnx.load onnx_path in
-      let spec = Abonn_spec.Vnnlib.load vnnlib_path in
+      let spec = Abonn_spec.Vnnlib.load ~network vnnlib_path in
       let name = Filename.remove_extension (Filename.basename vnnlib_path) in
       let problems = Abonn_spec.Vnnlib.problems ~name ~network spec in
       verify_spec problems engine lambda c heuristic appver calls seconds trace_file

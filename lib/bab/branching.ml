@@ -176,8 +176,7 @@ let fsb =
                *worse* child gets the best certified bound. *)
             let lookahead ((relu, _, _), _) =
               let child phase =
-                let gamma' = Split.extend gamma ~relu ~phase in
-                (Abonn_prop.Interval.run problem gamma').Abonn_prop.Outcome.phat
+                Abonn_prop.Interval.phat problem (Split.extend gamma ~relu ~phase)
               in
               Float.min (child Split.Active) (child Split.Inactive)
             in

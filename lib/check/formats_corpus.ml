@@ -112,6 +112,14 @@ let entries () =
          outputs by the largest index would allocate over 300 GB *)
       replace_first ~pattern:"(declare-const Y_4 Real)\n"
         ~by:"(declare-const Y_4 Real)\n(declare-const Y_42949672952 Real)\n"
+        (Vnnlib.to_string (acas_p1 ())) );
+    ( "malformed/wide_outputs.vnnlib",
+      (* a clean Y_0..Y_7 declaration against acas_tiny.onnx's five
+         outputs: the first out-of-range index is Y_5 *)
+      replace_first ~pattern:"(declare-const Y_4 Real)\n"
+        ~by:
+          "(declare-const Y_4 Real)\n(declare-const Y_5 Real)\n(declare-const Y_6 Real)\n\
+           (declare-const Y_7 Real)\n"
         (Vnnlib.to_string (acas_p1 ())) ) ]
 
 let read_file path =

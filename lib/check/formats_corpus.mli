@@ -28,6 +28,11 @@ val acas_p1 : unit -> Abonn_spec.Vnnlib.t
 val acas_p2 : unit -> Abonn_spec.Vnnlib.t
 (** The specs behind [acas_prop1.vnnlib]/[acas_prop2.vnnlib]. *)
 
+val replace_first : pattern:string -> by:string -> string -> string
+(** [replace_first ~pattern ~by s] replaces the first occurrence of
+    [pattern] in [s] (the malformed recipes' edit).  Raises
+    [Invalid_argument] when [pattern] does not occur. *)
+
 val check_dir : string -> (string * string) list
 (** [(path, reason)] for every fixture whose committed bytes differ
     from its recipe (or which is missing); [[]] means the corpus is

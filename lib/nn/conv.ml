@@ -71,15 +71,42 @@ let forward c x =
   done;
   y
 
-type grads = { d_weight : float array; d_bias : float array }
-
-let backward c ~input ~d_out =
-  if Array.length input <> input_dim c then invalid_arg "Conv.backward: wrong input size";
-  if Array.length d_out <> output_dim c then invalid_arg "Conv.backward: wrong d_out size";
+(* The two halves of the convolution's backward pass, each in the
+   forward pass's loop order and skipping zero output gradients, so
+   every accumulator sums its terms in one fixed order. *)
+let input_gradient c ~d_out =
+  if Array.length d_out <> output_dim c then invalid_arg "Conv.input_gradient: wrong d_out size";
   let oh = out_h c and ow = out_w c in
   let d_in = Array.make (input_dim c) 0.0 in
-  let d_weight = Array.make (Array.length c.weight) 0.0 in
-  let d_bias = Array.make c.out_channels 0.0 in
+  for oc = 0 to c.out_channels - 1 do
+    for oy = 0 to oh - 1 do
+      for ox = 0 to ow - 1 do
+        let g = d_out.(out_index c ~oc ~y:oy ~x:ox) in
+        if g <> 0.0 then
+          for ic = 0 to c.in_channels - 1 do
+            for ky = 0 to c.kernel_h - 1 do
+              let iy = (oy * c.stride) + ky - c.padding in
+              if iy >= 0 && iy < c.in_h then
+                for kx = 0 to c.kernel_w - 1 do
+                  let ix = (ox * c.stride) + kx - c.padding in
+                  if ix >= 0 && ix < c.in_w then begin
+                    let ii = in_index c ~ic ~y:iy ~x:ix in
+                    d_in.(ii) <- d_in.(ii) +. (g *. c.weight.(weight_index c ~oc ~ic ~ky ~kx))
+                  end
+                done
+            done
+          done
+      done
+    done
+  done;
+  d_in
+
+let add_param_gradient c ~input ~d_out ~d_weight ~d_bias =
+  if Array.length input <> input_dim c then invalid_arg "Conv.add_param_gradient: wrong input size";
+  if Array.length d_out <> output_dim c then invalid_arg "Conv.add_param_gradient: wrong d_out size";
+  if Array.length d_weight <> Array.length c.weight || Array.length d_bias <> c.out_channels then
+    invalid_arg "Conv.add_param_gradient: wrong gradient buffer size";
+  let oh = out_h c and ow = out_w c in
   for oc = 0 to c.out_channels - 1 do
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
@@ -94,9 +121,7 @@ let backward c ~input ~d_out =
                   let ix = (ox * c.stride) + kx - c.padding in
                   if ix >= 0 && ix < c.in_w then begin
                     let wi = weight_index c ~oc ~ic ~ky ~kx in
-                    let ii = in_index c ~ic ~y:iy ~x:ix in
-                    d_weight.(wi) <- d_weight.(wi) +. (g *. input.(ii));
-                    d_in.(ii) <- d_in.(ii) +. (g *. c.weight.(wi))
+                    d_weight.(wi) <- d_weight.(wi) +. (g *. input.(in_index c ~ic ~y:iy ~x:ix))
                   end
                 done
             done
@@ -104,13 +129,7 @@ let backward c ~input ~d_out =
         end
       done
     done
-  done;
-  (d_in, { d_weight; d_bias })
-
-let apply_grads c g ~lr =
-  { c with
-    weight = Array.mapi (fun k w -> w -. (lr *. g.d_weight.(k))) c.weight;
-    bias = Array.mapi (fun k b -> b -. (lr *. g.d_bias.(k))) c.bias }
+  done
 
 let to_matrix c =
   let oh = out_h c and ow = out_w c in

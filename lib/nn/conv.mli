@@ -4,10 +4,10 @@
     vector where index [(ch * h + y) * w + x] holds pixel [(y, x)] of
     channel [ch].  Convolutions support stride and zero padding.
 
-    Besides the concrete [forward]/[backward] used for training, a
-    convolution can be materialised as a dense matrix ([to_matrix]) so the
-    verification engines (bound propagation, LP encoding) only ever deal
-    with affine layers. *)
+    Besides the concrete [forward] and the gradients used for training
+    and attacks, a convolution can be materialised as a dense matrix
+    ([to_matrix]) so the verification engines (bound propagation, LP
+    encoding) only ever deal with affine layers. *)
 
 type t = {
   in_channels : int;
@@ -48,14 +48,17 @@ val create :
 val forward : t -> float array -> float array
 (** Concrete evaluation.  Raises [Invalid_argument] on wrong input size. *)
 
-type grads = { d_weight : float array; d_bias : float array }
+val input_gradient : t -> d_out:float array -> float array
+(** [input_gradient conv ~d_out] is the gradient of [d_out · forward conv x]
+    with respect to [x] (it does not depend on [x]). *)
 
-val backward : t -> input:float array -> d_out:float array -> float array * grads
-(** [backward conv ~input ~d_out] returns the gradient w.r.t. the input
-    along with parameter gradients. *)
-
-val apply_grads : t -> grads -> lr:float -> t
-(** Gradient-descent step returning the updated layer. *)
+val add_param_gradient :
+  t -> input:float array -> d_out:float array -> d_weight:float array ->
+  d_bias:float array -> unit
+(** [add_param_gradient conv ~input ~d_out ~d_weight ~d_bias] adds the
+    gradient of [d_out · forward conv input] with respect to the weights
+    and biases into [d_weight] (the layout of [weight]) and [d_bias],
+    summing each entry's terms in the forward pass's loop order. *)
 
 val to_matrix : t -> Abonn_tensor.Matrix.t * float array
 (** Materialise as [(w, b)] such that [forward conv x = w x + b] for all

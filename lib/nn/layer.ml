@@ -44,31 +44,8 @@ let num_params = function
   | Conv2d c -> Array.length c.Conv.weight + Array.length c.Conv.bias
   | Relu _ -> 0
 
-type grads =
-  | Linear_grads of { d_weight : Matrix.t; d_bias : float array }
-  | Conv_grads of Conv.grads
-  | No_grads
-
-let backward layer ~input ~d_out =
+let input_gradient layer ~input ~d_out =
   match layer with
-  | Linear { weight; _ } ->
-    let d_in = Matrix.tmv weight d_out in
-    let d_weight = Matrix.outer d_out input in
-    (d_in, Linear_grads { d_weight; d_bias = Array.copy d_out })
-  | Conv2d c ->
-    let d_in, g = Conv.backward c ~input ~d_out in
-    (d_in, Conv_grads g)
-  | Relu _ ->
-    let d_in = Array.mapi (fun i g -> if input.(i) > 0.0 then g else 0.0) d_out in
-    (d_in, No_grads)
-
-let apply_grads layer grads ~lr =
-  match layer, grads with
-  | Linear { weight; bias }, Linear_grads g ->
-    let weight = Matrix.sub weight (Matrix.scale lr g.d_weight) in
-    let bias = Array.mapi (fun i b -> b -. (lr *. g.d_bias.(i))) bias in
-    Linear { weight; bias }
-  | Conv2d c, Conv_grads g -> Conv2d (Conv.apply_grads c g ~lr)
-  | Relu n, No_grads -> Relu n
-  | (Linear _ | Conv2d _ | Relu _), _ ->
-    invalid_arg "Layer.apply_grads: gradient does not match layer"
+  | Linear { weight; _ } -> Matrix.tmv weight d_out
+  | Conv2d c -> Conv.input_gradient c ~d_out
+  | Relu _ -> Array.mapi (fun i g -> if input.(i) > 0.0 then g else 0.0) d_out

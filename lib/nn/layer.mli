@@ -26,16 +26,7 @@ val random_linear : Abonn_util.Rng.t -> in_dim:int -> out_dim:int -> t
 
 val num_params : t -> int
 
-type grads =
-  | Linear_grads of { d_weight : Abonn_tensor.Matrix.t; d_bias : float array }
-  | Conv_grads of Conv.grads
-  | No_grads
-
-val backward : t -> input:float array -> d_out:float array -> float array * grads
-(** [backward layer ~input ~d_out] propagates the output gradient to the
-    input and collects parameter gradients.  For [Relu], [input] must be
-    the pre-activation vector. *)
-
-val apply_grads : t -> grads -> lr:float -> t
-(** One SGD step; [No_grads] and mismatched constructors are rejected
-    with [Invalid_argument]. *)
+val input_gradient : t -> input:float array -> d_out:float array -> float array
+(** [input_gradient layer ~input ~d_out] propagates the output gradient
+    [d_out] to the layer's input [input]: [Wᵀ d_out] for the affine
+    layers, [d_out] masked by [input > 0] for [Relu]. *)

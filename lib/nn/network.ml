@@ -49,30 +49,15 @@ let num_neurons net =
       | Layer.Relu _ -> acc)
     0 net.layers
 
-type step_grads = Layer.grads array
-
-let backprop net x ~d_out =
+let input_gradient net x ~d_out =
+  if Array.length d_out <> net.output_dim then
+    invalid_arg "Network.input_gradient: wrong d_out size";
   let values = trace net x in
-  let n = Array.length net.layers in
-  if Array.length d_out <> net.output_dim then invalid_arg "Network.backprop: wrong d_out size";
-  let grads = Array.make n Layer.No_grads in
-  let rec loop i g =
-    if i < 0 then g
-    else begin
-      let d_in, layer_grads = Layer.backward net.layers.(i) ~input:values.(i) ~d_out:g in
-      grads.(i) <- layer_grads;
-      loop (i - 1) d_in
-    end
-  in
-  let d_input = loop (n - 1) d_out in
-  (d_input, grads)
-
-let input_gradient net x ~d_out = fst (backprop net x ~d_out)
-
-let apply_grads net grads ~lr =
-  if Array.length grads <> Array.length net.layers then
-    invalid_arg "Network.apply_grads: wrong number of gradients";
-  { net with layers = Array.mapi (fun i l -> Layer.apply_grads l grads.(i) ~lr) net.layers }
+  let g = ref d_out in
+  for i = Array.length net.layers - 1 downto 0 do
+    g := Layer.input_gradient net.layers.(i) ~input:values.(i) ~d_out:!g
+  done;
+  !g
 
 let predict net x =
   let y = forward net x in

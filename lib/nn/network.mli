@@ -1,8 +1,9 @@
 (** Feed-forward networks: a validated sequence of layers.
 
     Networks support concrete evaluation, full activation traces (used by
-    tests and by the ReLU-stability analysis) and reverse-mode gradients
-    (used by the trainer and the adversarial attacks). *)
+    the trainer, tests and the ReLU-stability analysis) and the input
+    gradient (used by the adversarial attacks and the first-order
+    candidates).  Parameter gradients live in {!Trainer}. *)
 
 type t = private {
   layers : Layer.t array;
@@ -35,15 +36,9 @@ val num_neurons : t -> int
 (** Total width of all hidden + output layers (paper Table I counts). *)
 
 val input_gradient : t -> float array -> d_out:float array -> float array
-(** Gradient of [d_out · output] w.r.t. the input (for FGSM/PGD). *)
-
-type step_grads = Layer.grads array
-
-val backprop : t -> float array -> d_out:float array -> float array * step_grads
-(** Input gradient together with per-layer parameter gradients. *)
-
-val apply_grads : t -> step_grads -> lr:float -> t
-(** One SGD step over every layer. *)
+(** Gradient of [d_out · output] w.r.t. the input (for FGSM/PGD): one
+    trace, then {!Layer.input_gradient} from the last layer to the
+    first.  No parameter gradient is formed. *)
 
 val predict : t -> float array -> int
 (** Argmax output label. *)

@@ -30,7 +30,12 @@ val train :
   Network.t ->
   sample array ->
   Network.t
-(** Train (functionally: returns the updated network). *)
+(** Train a copy of the network and return it; the argument is left
+    unchanged.  Each sample costs one {!Network.trace} and one backward
+    pass that adds its parameter gradient into a per-layer buffer (the
+    batch's first sample overwrites it); each batch then steps every
+    parameter in place by [w − lr·((1/n)·g)].  The result is
+    bit-identical to summing freshly allocated per-sample gradients. *)
 
 val accuracy : Network.t -> sample array -> float
 (** Fraction of samples classified correctly. *)

@@ -51,12 +51,15 @@ let copy t = { lower = Array.copy t.lower; upper = Array.copy t.upper }
 
 let affine_image (w : Abonn_tensor.Matrix.t) b ~lo ~hi =
   let module Matrix = Abonn_tensor.Matrix in
-  let n = w.Matrix.rows and m = w.Matrix.cols in
+  let n = w.Matrix.rows and m = w.Matrix.cols and data = w.Matrix.data in
+  if Array.length b <> n || Array.length lo <> m || Array.length hi <> m then
+    invalid_arg "Bounds.affine_image: dimension mismatch";
   let out_lo = Array.make n 0.0 and out_hi = Array.make n 0.0 in
   for i = 0 to n - 1 do
+    let off = i * m in
     let acc_lo = ref b.(i) and acc_hi = ref b.(i) in
     for j = 0 to m - 1 do
-      let a = Matrix.get w i j in
+      let a = data.(off + j) in
       if a > 0.0 then begin
         acc_lo := !acc_lo +. (a *. lo.(j));
         acc_hi := !acc_hi +. (a *. hi.(j))

@@ -43,7 +43,8 @@ val affine_image :
   float array * float array
 (** Interval image [(lo', hi')] of an affine map [x ↦ Wx + b] over the
     input box [\[lo, hi\]] — the forward-interval step shared by every
-    propagation domain. *)
+    propagation domain.  Raises [Invalid_argument] unless [b] has [W]'s
+    row count and [lo], [hi] its column count. *)
 
 val intersect : t -> lo:float array -> hi:float array -> t
 (** Per-neuron intersection with another sound interval (tighter of the

@@ -40,16 +40,17 @@ let compute_hidden_bounds (problem : Problem.t) gamma =
   in
   loop 0 (Array.copy region.Region.lower) (Array.copy region.Region.upper)
 
-let run (problem : Problem.t) gamma =
+(* The output box's lower bound on each property row c·y + d, or
+   [Error] with the bounds before the layer whose splits are
+   infeasible. *)
+let row_bounds (problem : Problem.t) gamma =
   let affine = problem.Problem.affine in
-  let region = problem.Problem.region in
   let prop = problem.Problem.property in
   match compute_hidden_bounds problem gamma with
-  | Error partial -> Outcome.vacuous ~pre_bounds:partial
+  | Error partial -> Error partial
   | Ok (pre_bounds, lo, hi) ->
     let last = Affine.num_layers affine - 1 in
     let ylo, yhi = affine_interval Affine.(affine.weights.(last)) Affine.(affine.biases.(last)) ~lo ~hi in
-    (* Lower-bound each property row c·y + d over the output box. *)
     let m = prop.Property.c.Matrix.rows in
     let row_lower =
       Array.init m (fun i ->
@@ -60,7 +61,19 @@ let run (problem : Problem.t) gamma =
           done;
           !acc)
     in
-    let phat = Array.fold_left Float.min infinity row_lower in
+    Ok (pre_bounds, row_lower, Array.fold_left Float.min infinity row_lower)
+
+let phat problem gamma =
+  match row_bounds problem gamma with
+  | Error partial -> (Outcome.vacuous ~pre_bounds:partial).Outcome.phat
+  | Ok (_, _, phat) -> phat
+
+let run (problem : Problem.t) gamma =
+  let region = problem.Problem.region in
+  let prop = problem.Problem.property in
+  match row_bounds problem gamma with
+  | Error partial -> Outcome.vacuous ~pre_bounds:partial
+  | Ok (pre_bounds, row_lower, phat) ->
     let candidate =
       if phat > 0.0 then None
       else begin

@@ -10,6 +10,11 @@ val run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Outcome.t
 (** The candidate counterexample is the input-box corner that minimises
     the first property row's first-order estimate at the box centre. *)
 
+val phat : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> float
+(** [(run problem gamma).phat] without the candidate: [infinity] when
+    the splits are infeasible.  [run] is built on the same bound
+    computation, so the two are equal to the last bit. *)
+
 val hidden_bounds :
   Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Bounds.t array option
 (** Pre-activation bounds per hidden layer ([None] if splits are

@@ -30,7 +30,7 @@ type batom =
 
 type form = Leaf of batom | And of form list | Or of form list
 
-let parse ?(source = "<string>") text =
+let parse ?(source = "<string>") ?network text =
   let err { l; c } token fmt =
     Parse_error.error ~source ~pos:(Parse_error.Line { line = l; col = c }) ~token fmt
   in
@@ -242,31 +242,49 @@ let parse ?(source = "<string>") text =
     forms;
   let asserts = List.rev !asserts in
   let top = { l = 1; c = 1 } in
-  (* The n declared indices of a kind must be exactly 0..n-1: the arrays
-     below are sized by the count, so an index of n or more (a gap) is
-     reported at the first such declaration, before anything is
-     allocated. *)
-  let count kind decl =
+  (* the earliest-positioned declaration of an index [k] or more *)
+  let first_from decl k =
+    Hashtbl.fold
+      (fun i loc acc ->
+        match acc with
+        | _ when i < k -> acc
+        | Some (_, best) when (best.l, best.c) < (loc.l, loc.c) -> acc
+        | _ -> Some (i, loc))
+      decl None
+  in
+  (* The n declared indices of a kind must be exactly 0..n-1, and with
+     a [network] n must be its width: the arrays below are sized by the
+     count, so an index past either is reported at its first
+     declaration, before anything is allocated. *)
+  let count kind ~what ~width decl =
     let n = Hashtbl.length decl in
-    let first_beyond =
-      Hashtbl.fold
-        (fun i loc acc ->
-          match acc with
-          | _ when i < n -> acc
-          | Some (_, best) when (best.l, best.c) < (loc.l, loc.c) -> acc
-          | _ -> Some (i, loc))
-        decl None
-    in
+    Option.iter
+      (fun m ->
+        Option.iter
+          (fun (i, loc) ->
+            err loc (Printf.sprintf "%s_%d" kind i)
+              "the network has %d %s, so %s indices run %s_0..%s_%d" m what kind kind
+              kind (m - 1))
+          (first_from decl m))
+      width;
     Option.iter
       (fun (i, loc) ->
         err loc (Printf.sprintf "%s_%d" kind i)
           "%d %s variables are declared, so their indices must run %s_0..%s_%d without a gap"
           n kind kind kind (n - 1))
-      first_beyond;
+      (first_from decl n);
+    Option.iter
+      (fun m ->
+        if n > 0 && n < m then
+          err top (Printf.sprintf "%s_%d" kind n)
+            "the network has %d %s but only %s_0..%s_%d are declared" m what kind kind
+            (n - 1))
+      width;
     n
   in
-  let num_inputs = count "X" xdecl in
-  let num_outputs = count "Y" ydecl in
+  let width f = Option.map f network in
+  let num_inputs = count "X" ~what:"inputs" ~width:(width Abonn_nn.Network.input_dim) xdecl in
+  let num_outputs = count "Y" ~what:"outputs" ~width:(width Abonn_nn.Network.output_dim) ydecl in
   if num_inputs = 0 then err top "X_0" "no input variables declared";
   if num_outputs = 0 then err top "Y_0" "no output variables declared";
   (* split asserts into input bounds and output constraints *)
@@ -373,14 +391,14 @@ let parse ?(source = "<string>") text =
   let disjuncts = List.map (List.map to_linterm) (dnf conj) in
   { num_inputs; num_outputs; lower; upper; disjuncts }
 
-let load path =
+let load ?network path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let n = in_channel_length ic in
       let text = really_input_string ic n in
-      parse ~source:path text)
+      parse ~source:path ?network text)
 
 (* --- pretty-printer ------------------------------------------------ *)
 

@@ -60,15 +60,18 @@ val max_disjuncts : int
 (** Cap on the DNF size produced by distributing conjoined [or]s (64);
     exceeding it is a parse error. *)
 
-val parse : ?source:string -> string -> t
+val parse : ?source:string -> ?network:Abonn_nn.Network.t -> string -> t
 (** Parse VNNLIB text.  [source] (default ["<string>"]) labels error
-    positions.  Raises {!Abonn_util.Parse_error.Error} on malformed or
-    unsupported input. *)
+    positions.  With [network], the declared [X] and [Y] variables must
+    match its input and output widths: the first declaration of an index
+    the network does not have is a positioned error, and so is a spec
+    that declares fewer.  Raises {!Abonn_util.Parse_error.Error} on
+    malformed or unsupported input. *)
 
-val load : string -> t
-(** [load path] parses the file at [path]; errors are positioned with
-    [path] as the source.  Raises [Sys_error] when the file is
-    missing. *)
+val load : ?network:Abonn_nn.Network.t -> string -> t
+(** [load path] parses the file at [path] (checked against [network] as
+    {!parse} does); errors are positioned with [path] as the source.
+    Raises [Sys_error] when the file is missing. *)
 
 val to_string : t -> string
 (** Deterministic pretty-printer.  Floats are rendered with [%.17g] so
@@ -81,7 +84,8 @@ val problems : ?name:string -> network:Abonn_nn.Network.t -> t -> Problem.t list
     above).  Single-literal disjuncts negate the literal directly;
     multi-literal disjuncts append the exact ReLU max-gadget.  Raises
     [Invalid_argument] when the spec's dimensions disagree with the
-    network. *)
+    network; {!parse} and {!load} given the network report that at the
+    offending declaration instead. *)
 
 val join_verdicts : Verdict.t list -> Verdict.t
 (** [Falsified] if any disjunct is (first wins, witness preserved),

@@ -122,9 +122,6 @@ let tmv_into m x y =
   Array.fill y 0 m.cols 0.0;
   tmv_acc m x y
 
-let outer x y =
-  init (Array.length x) (Array.length y) (fun i j -> x.(i) *. y.(j))
-
 let random_gaussian rng rows cols ~stddev =
   init rows cols (fun _ _ -> stddev *. Abonn_util.Rng.gaussian rng)
 

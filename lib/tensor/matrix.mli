@@ -47,9 +47,6 @@ val tmv_into : t -> float array -> float array -> unit
     order as {!tmv} (the results are bit-identical), without
     allocating. *)
 
-val outer : float array -> float array -> t
-(** Rank-one outer product. *)
-
 val random_gaussian : Abonn_util.Rng.t -> int -> int -> stddev:float -> t
 (** Matrix of independent N(0, stddev²) entries. *)
 

@@ -256,7 +256,7 @@ let to_string e =
     (Printf.sprintf "search-quality report  engine=%s verdict=%s\n" e.engine
        (Option.value ~default:"open" e.verdict));
   Buffer.add_string buf
-    (Printf.sprintf "  nodes evaluated      %d\n" e.nodes);
+    (Printf.sprintf "  tree nodes           %d\n" e.nodes);
   Buffer.add_string buf
     (Printf.sprintf "  wasted work          %s (%d nodes off the verdict path)\n"
        (fpct e.wasted_frac) e.wasted);

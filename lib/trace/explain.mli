@@ -44,7 +44,10 @@ type divergence = {
 type t = {
   engine : string;
   verdict : string option;
-  nodes : int;  (** the run's nodes ({!Summary.run}) *)
+  nodes : int;
+      (** the run's tree nodes ({!Summary.run}): for bab-baseline and
+          inputsplit these include the children still queued, so they
+          are printed as [tree nodes], never as nodes evaluated *)
   wasted : int;
       (** falsified runs: evaluated nodes off every root-to-counterexample
           path; verified runs: [0] (every subtree had to be proved) *)

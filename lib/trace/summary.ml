@@ -129,6 +129,9 @@ type t = {
   (* the engine's own totals from its last resource_sample, the counts
      then, and the deepest event since *)
   mutable sampled : (int * int * counts) option;
+  (* appver and depth of the last event when that was a counted
+     bound_computed (or its bound_reuse annotation) *)
+  mutable last_bound : (string * int) option;
   mutable deepest_since : int;
   mutable frontier : int;
   (* ABONN's open leaves: a node leaves the set when its first child
@@ -158,6 +161,7 @@ let create () =
     exact = 0;
     deepest = 0;
     sampled = None;
+    last_bound = None;
     deepest_since = 0;
     frontier = 0;
     open_leaves = Hashtbl.create 64;
@@ -264,6 +268,8 @@ let feed m env =
   m.t_last <- env.Event.t;
   pair_step m.pairing env.Event.event;
   Option.iter (bump m.tagged) env.Event.domain;
+  let last_bound = m.last_bound in
+  (match env.Event.event with Event.Bound_reuse _ -> () | _ -> m.last_bound <- None);
   let c = m.counts in
   match env.Event.event with
   | Event.Run_started { engine = e; instance = i } ->
@@ -299,8 +305,15 @@ let feed m env =
     m.exact <- m.exact + 1;
     depth m d;
     if not verified then better m Float.infinity
-  | Event.Bound_computed { depth = d; _ } ->
-    m.counts <- { c with bounds = c.bounds + 1 };
+  | Event.Bound_computed { appver = a; depth = d; _ } ->
+    (* an escalated triaged call (Appver.triaged) is its cheap
+       verifier's bound, then straight away the expensive one's at the
+       same depth: one call *)
+    (match last_bound with
+     | Some (a', d') when d' = d && not (String.equal a' a) -> ()
+     | _ ->
+       m.counts <- { c with bounds = c.bounds + 1 };
+       m.last_bound <- Some (a, d));
     depth m d
   | Event.Resource_sample { nodes; max_depth = d; _ } ->
     m.sampled <- Some (nodes, d, c);

@@ -8,8 +8,10 @@
 # runs abonn_cli on one mnist_l2 instance with --introspect and a trace
 # file (OUT_DIR/intro-ENGINE.jsonl, OUT_DIR defaults to the current
 # directory); ab-crown runs at a smaller radius, where its attack fails
-# and it branches.  One more case runs bestfirst on the LP AppVer at a
-# small budget (OUT_DIR/intro-bestfirst-lp.jsonl).  The summary of each
+# and it branches.  Two more cases run bestfirst at a small budget, on
+# the LP AppVer (OUT_DIR/intro-bestfirst-lp.jsonl) and under LP triage
+# with every node escalated (OUT_DIR/intro-bestfirst-triage.jsonl),
+# where each call emits two bound_computed events.  The summary of each
 # trace must print no MISMATCH, name the engine, and show the verdict,
 # AppVer calls, tree nodes and max depth abonn_cli printed; `watch
 # --once`, the last `curve` row, `tree`'s header and `explain` must
@@ -80,7 +82,7 @@ check() {
     awk '{ print $2, $NF }')
   same "$name" "tree" "${want#* }" "$tree"
   explain=$(dune exec bin/abonn_trace.exe -- explain "$trace" |
-    awk '/nodes evaluated/ { print $3 }')
+    awk '/tree nodes/ { print $3 }')
   same "$name" "explain" "$(echo "$want" | awk '{ print $2 }')" "$explain"
 }
 
@@ -127,6 +129,8 @@ for engine in bab-baseline bestfirst inputsplit abonn ab-crown; do
 done
 check bestfirst-lp bestfirst 20 1.325 --appver lp
 tools bestfirst-lp
+check bestfirst-triage bestfirst 20 1.325 --lp-triage lb=10
+tools bestfirst-triage
 
 dune exec bin/abonn_cli.exe -- \
   --model mnist_l2 --index 3 --factor 1.325 --calls 700 \

@@ -4,7 +4,10 @@
    way down, then [concretize]).  [Deeppoly.run] and [Deeppoly.run_warm]
    must reproduce it to the last bit — p̂, row lower bounds, every
    per-layer bound and the candidate — on random MLPs and a CNN under
-   random split sequences. *)
+   random split sequences.  The same holds for two interval kernels:
+   [Bounds.affine_image] against [Reference.affine_image], a copy of it
+   that reads every weight through [Matrix.get], and [Interval.phat]
+   (FSB's look-ahead) against the p̂ of a full [Interval.run]. *)
 
 module Rng = Abonn_util.Rng
 module Vector = Abonn_tensor.Vector
@@ -19,8 +22,30 @@ module Bounds = Abonn_prop.Bounds
 module Outcome = Abonn_prop.Outcome
 module Incremental = Abonn_prop.Incremental
 module Deeppoly = Abonn_prop.Deeppoly
+module Interval = Abonn_prop.Interval
 
 module Reference = struct
+  let affine_image (w : Matrix.t) b ~lo ~hi =
+    let n = w.Matrix.rows and m = w.Matrix.cols in
+    let out_lo = Array.make n 0.0 and out_hi = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let acc_lo = ref b.(i) and acc_hi = ref b.(i) in
+      for j = 0 to m - 1 do
+        let a = Matrix.get w i j in
+        if a > 0.0 then begin
+          acc_lo := !acc_lo +. (a *. lo.(j));
+          acc_hi := !acc_hi +. (a *. hi.(j))
+        end
+        else if a < 0.0 then begin
+          acc_lo := !acc_lo +. (a *. hi.(j));
+          acc_hi := !acc_hi +. (a *. lo.(j))
+        end
+      done;
+      out_lo.(i) <- !acc_lo;
+      out_hi.(i) <- !acc_hi
+    done;
+    (out_lo, out_hi)
+
   (* adaptive slope only: the default AppVer *)
   let lower_slope ~lo ~hi = if hi > -.lo then 1.0 else 0.0
 
@@ -324,7 +349,56 @@ let prop_cnn_bit_identical =
       let problem = robustness_problem affine ~center ~eps:0.15 in
       List.for_all (fun _ -> report (check_path rng problem)) [ 1; 2 ])
 
+let prop_affine_image_bit_identical =
+  QCheck.Test.make ~name:"affine_image is bit-identical to the Matrix.get copy" ~count:200
+    QCheck.(triple (int_range 0 100_000) (int_range 1 12) (int_range 1 12))
+    (fun (seed, rows, cols) ->
+      let rng = Rng.create seed in
+      (* a third of the weights exactly zero (either sign), as after ReLU
+         folding or in a sparse conv matrix *)
+      let w =
+        Matrix.init rows cols (fun _ _ ->
+            match Rng.int rng 6 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | _ -> Rng.range rng (-2.0) 2.0)
+      in
+      let b = Array.init rows (fun _ -> Rng.range rng (-1.0) 1.0) in
+      let lo = Array.init cols (fun _ -> Rng.range rng (-1.0) 0.5) in
+      let hi = Array.map (fun l -> l +. Rng.range rng 0.0 1.0) lo in
+      let got_lo, got_hi = Bounds.affine_image w b ~lo ~hi in
+      let ref_lo, ref_hi = Reference.affine_image w b ~lo ~hi in
+      same_floats got_lo ref_lo && same_floats got_hi ref_hi)
+
+(* Along a random split sequence, down to infeasible nodes, FSB's
+   look-ahead bound equals the p̂ of the full interval analysis. *)
+let prop_interval_phat_is_run_phat =
+  QCheck.Test.make ~name:"Interval.phat equals Interval.run's phat" ~count:40
+    QCheck.(triple (int_range 0 100_000) (int_range 1 3) (int_range 2 6))
+    (fun (seed, depth, width) ->
+      let rng = Rng.create seed in
+      let dims = (3 :: List.init depth (fun _ -> width)) @ [ 3 ] in
+      let affine = with_random_biases rng (Builder.mlp rng ~dims) in
+      let center = Array.init 3 (fun _ -> Rng.range rng (-0.5) 0.5) in
+      let problem = robustness_problem affine ~center ~eps:(Rng.range rng 0.05 0.8) in
+      let k = Problem.num_relus problem in
+      let rec walk gamma d =
+        let run = Interval.run problem gamma in
+        same_bits (Interval.phat problem gamma) run.Outcome.phat
+        && (d >= k || run.Outcome.infeasible
+           ||
+           let free =
+             List.filter (fun r -> Split.constrained gamma ~relu:r = None) (List.init k Fun.id)
+           in
+           let relu = List.nth free (Rng.int rng (List.length free)) in
+           let phase = if Rng.bool rng then Split.Active else Split.Inactive in
+           walk (Split.extend gamma ~relu ~phase) (d + 1))
+      in
+      List.for_all (fun _ -> walk [] 0) [ 1; 2; 3 ])
+
 let suite =
   [ ( "prop.backsub",
       [ QCheck_alcotest.to_alcotest prop_mlp_bit_identical;
-        QCheck_alcotest.to_alcotest prop_cnn_bit_identical ] ) ]
+        QCheck_alcotest.to_alcotest prop_cnn_bit_identical;
+        QCheck_alcotest.to_alcotest prop_affine_image_bit_identical;
+        QCheck_alcotest.to_alcotest prop_interval_phat_is_run_phat ] ) ]

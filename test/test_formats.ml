@@ -339,6 +339,40 @@ let test_malformed_vnnlib () =
       ignore (expect_parse_error ~what (fun () -> Vnnlib.parse text)))
     cases
 
+(* A spec whose declarations do not match the network's widths fails at
+   the first declaration the network does not have, or at the top when
+   it declares too few; without the network the same text parses. *)
+let test_vnnlib_network_widths () =
+  let net = Onnx.load (fixture "acas_tiny.onnx") in
+  let line_col e =
+    match e.Parse_error.pos with
+    | Parse_error.Line { line; col } -> (line, col)
+    | Parse_error.Byte _ -> Alcotest.fail "VNNLIB errors must carry line/column"
+  in
+  let wide = malformed "wide_outputs.vnnlib" in
+  Alcotest.(check int) "parses without the network" 8 (Vnnlib.load wide).Vnnlib.num_outputs;
+  let e = expect_parse_error ~what:"wide outputs" (fun () -> Vnnlib.load ~network:net wide) in
+  Alcotest.(check string) "first out-of-range output" "Y_5" e.Parse_error.token;
+  Alcotest.(check (pair int int)) "at its declaration" (12, 16) (line_col e);
+  Alcotest.(check string) "names the file" wide e.Parse_error.source;
+  let text = Vnnlib.to_string (Corpus.acas_p1 ()) in
+  let e =
+    expect_parse_error ~what:"wide inputs" (fun () ->
+        Vnnlib.parse ~network:net
+          (Corpus.replace_first ~pattern:"(declare-const Y_0 Real)"
+             ~by:"(declare-const X_5 Real)\n(declare-const Y_0 Real)" text))
+  in
+  Alcotest.(check string) "first out-of-range input" "X_5" e.Parse_error.token;
+  Alcotest.(check (pair int int)) "at its declaration" (7, 16) (line_col e);
+  let e =
+    expect_parse_error ~what:"narrow outputs" (fun () ->
+        Vnnlib.parse ~network:net
+          (Corpus.replace_first ~pattern:"(declare-const Y_4 Real)\n" ~by:"" text))
+  in
+  Alcotest.(check string) "first missing output" "Y_4" e.Parse_error.token;
+  Alcotest.(check bool) "matching spec parses" true
+    (Vnnlib.parse ~network:net text = Corpus.acas_p1 ())
+
 (* --- registry schema ----------------------------------------------- *)
 
 let test_registry_source_format () =
@@ -380,5 +414,7 @@ let suite =
           test_differential_domains4;
         Alcotest.test_case "malformed onnx" `Quick test_malformed_onnx;
         Alcotest.test_case "malformed vnnlib" `Quick test_malformed_vnnlib;
+        Alcotest.test_case "vnnlib checked against the network" `Quick
+          test_vnnlib_network_widths;
         Alcotest.test_case "registry source_format" `Quick
           test_registry_source_format ] ) ]

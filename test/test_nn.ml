@@ -1,7 +1,10 @@
-(* Tests for Abonn_nn: layer forward/backward (gradients checked against
+(* Tests for Abonn_nn: layer forward and gradients (checked against
    finite differences), conv materialisation, affine compilation, trainer
    convergence on a separable toy problem, serialization round-trips
-   through ONNX, the one network format. *)
+   through ONNX, the one network format.  [Reference] keeps the full
+   backward pass and the per-sample allocate-and-add trainer that the
+   input-only gradient and the in-place trainer replaced; both must
+   reproduce it to the last bit. *)
 
 module Matrix = Abonn_tensor.Matrix
 module Vector = Abonn_tensor.Vector
@@ -13,6 +16,150 @@ module Affine = Abonn_nn.Affine
 module Builder = Abonn_nn.Builder
 module Trainer = Abonn_nn.Trainer
 module Onnx = Abonn_nn.Onnx
+
+module Reference = struct
+  type grads =
+    | Linear_grads of { d_weight : Matrix.t; d_bias : float array }
+    | Conv_grads of { d_weight : float array; d_bias : float array }
+    | No_grads
+
+  (* the convolution's input and parameter gradients in one loop *)
+  let conv_backward (c : Conv.t) ~input ~d_out =
+    let oh = Conv.out_h c and ow = Conv.out_w c in
+    let w_index ~oc ~ic ~ky ~kx =
+      (((((oc * c.Conv.in_channels) + ic) * c.Conv.kernel_h) + ky) * c.Conv.kernel_w) + kx
+    in
+    let i_index ~ic ~y ~x = (((ic * c.Conv.in_h) + y) * c.Conv.in_w) + x in
+    let o_index ~oc ~y ~x = (((oc * oh) + y) * ow) + x in
+    let d_in = Array.make (Conv.input_dim c) 0.0 in
+    let d_weight = Array.make (Array.length c.Conv.weight) 0.0 in
+    let d_bias = Array.make c.Conv.out_channels 0.0 in
+    for oc = 0 to c.Conv.out_channels - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let g = d_out.(o_index ~oc ~y:oy ~x:ox) in
+          if g <> 0.0 then begin
+            d_bias.(oc) <- d_bias.(oc) +. g;
+            for ic = 0 to c.Conv.in_channels - 1 do
+              for ky = 0 to c.Conv.kernel_h - 1 do
+                let iy = (oy * c.Conv.stride) + ky - c.Conv.padding in
+                if iy >= 0 && iy < c.Conv.in_h then
+                  for kx = 0 to c.Conv.kernel_w - 1 do
+                    let ix = (ox * c.Conv.stride) + kx - c.Conv.padding in
+                    if ix >= 0 && ix < c.Conv.in_w then begin
+                      let wi = w_index ~oc ~ic ~ky ~kx in
+                      let ii = i_index ~ic ~y:iy ~x:ix in
+                      d_weight.(wi) <- d_weight.(wi) +. (g *. input.(ii));
+                      d_in.(ii) <- d_in.(ii) +. (g *. c.Conv.weight.(wi))
+                    end
+                  done
+              done
+            done
+          end
+        done
+      done
+    done;
+    (d_in, Conv_grads { d_weight; d_bias })
+
+  let backward layer ~input ~d_out =
+    match layer with
+    | Layer.Linear { weight; _ } ->
+      let d_weight =
+        Matrix.init (Array.length d_out) (Array.length input) (fun i j -> d_out.(i) *. input.(j))
+      in
+      (Matrix.tmv weight d_out, Linear_grads { d_weight; d_bias = Array.copy d_out })
+    | Layer.Conv2d c -> conv_backward c ~input ~d_out
+    | Layer.Relu _ -> (Array.mapi (fun i g -> if input.(i) > 0.0 then g else 0.0) d_out, No_grads)
+
+  let backprop net x ~d_out =
+    let layers = Array.of_list (Network.layers net) in
+    let values = Network.trace net x in
+    let grads = Array.make (Array.length layers) No_grads in
+    let rec loop i g =
+      if i < 0 then g
+      else begin
+        let d_in, layer_grads = backward layers.(i) ~input:values.(i) ~d_out:g in
+        grads.(i) <- layer_grads;
+        loop (i - 1) d_in
+      end
+    in
+    let d_input = loop (Array.length layers - 1) d_out in
+    (d_input, grads)
+
+  let add_grads acc more =
+    Array.mapi
+      (fun i a ->
+        match a, more.(i) with
+        | No_grads, No_grads -> No_grads
+        | Linear_grads a, Linear_grads b ->
+          Linear_grads
+            { d_weight = Matrix.add a.d_weight b.d_weight;
+              d_bias = Array.mapi (fun k v -> v +. b.d_bias.(k)) a.d_bias }
+        | Conv_grads a, Conv_grads b ->
+          Conv_grads
+            { d_weight = Array.mapi (fun k v -> v +. b.d_weight.(k)) a.d_weight;
+              d_bias = Array.mapi (fun k v -> v +. b.d_bias.(k)) a.d_bias }
+        | _ -> invalid_arg "Reference.add_grads")
+      acc
+
+  let scale_grads s =
+    Array.map (function
+      | No_grads -> No_grads
+      | Linear_grads a ->
+        Linear_grads
+          { d_weight = Matrix.scale s a.d_weight; d_bias = Array.map (fun v -> s *. v) a.d_bias }
+      | Conv_grads a ->
+        Conv_grads
+          { d_weight = Array.map (fun v -> s *. v) a.d_weight;
+            d_bias = Array.map (fun v -> s *. v) a.d_bias })
+
+  let apply_grads net grads ~lr =
+    Network.create
+      (List.mapi
+         (fun i layer ->
+           match layer, grads.(i) with
+           | Layer.Linear { weight; bias }, Linear_grads g ->
+             Layer.linear
+               (Matrix.sub weight (Matrix.scale lr g.d_weight))
+               (Array.mapi (fun k b -> b -. (lr *. g.d_bias.(k))) bias)
+           | Layer.Conv2d c, Conv_grads g ->
+             Layer.Conv2d
+               { c with
+                 Conv.weight = Array.mapi (fun k w -> w -. (lr *. g.d_weight.(k))) c.Conv.weight;
+                 bias = Array.mapi (fun k b -> b -. (lr *. g.d_bias.(k))) c.Conv.bias }
+           | layer, No_grads -> layer
+           | _ -> invalid_arg "Reference.apply_grads")
+         (Network.layers net))
+
+  let train (config : Trainer.config) rng net (samples : Trainer.sample array) =
+    let order = Array.init (Array.length samples) (fun i -> i) in
+    let net = ref net in
+    let lr = ref config.Trainer.learning_rate in
+    for _ = 1 to config.Trainer.epochs do
+      Rng.shuffle rng order;
+      let i = ref 0 in
+      let n = Array.length order in
+      while !i < n do
+        let batch_end = Stdlib.min n (!i + config.Trainer.batch_size) in
+        let batch_n = batch_end - !i in
+        let acc = ref None in
+        for k = !i to batch_end - 1 do
+          let s = samples.(order.(k)) in
+          let logits = Network.forward !net s.Trainer.features in
+          let _, d_out = Trainer.cross_entropy_grad logits s.Trainer.label in
+          let _, grads = backprop !net s.Trainer.features ~d_out in
+          acc := Some (match !acc with None -> grads | Some a -> add_grads a grads)
+        done;
+        Option.iter
+          (fun g ->
+            net := apply_grads !net (scale_grads (1.0 /. float_of_int batch_n) g) ~lr:!lr)
+          !acc;
+        i := batch_end
+      done;
+      lr := !lr *. config.Trainer.lr_decay
+    done;
+    !net
+end
 
 let check_float = Alcotest.(check (float 1e-6))
 let vec = Alcotest.testable Vector.pp (Vector.approx_equal ~tol:1e-6)
@@ -86,11 +233,69 @@ let test_param_gradient_descends () =
     let logits = Network.forward net x in
     fst (Trainer.cross_entropy_grad logits label)
   in
-  let logits = Network.forward net x in
-  let _, d_out = Trainer.cross_entropy_grad logits label in
-  let _, grads = Network.backprop net x ~d_out in
-  let net' = Network.apply_grads net grads ~lr:0.1 in
+  let config =
+    { Trainer.default_config with epochs = 1; batch_size = 1; learning_rate = 0.1 }
+  in
+  let net' = Trainer.train ~config rng net [| { Trainer.features = x; label } |] in
   Alcotest.(check bool) "loss decreased" true (loss net' < loss net)
+
+(* The input gradient is the full backward pass's, bit for bit. *)
+let test_input_gradient_matches_reference () =
+  let rng = Rng.create 21 in
+  let mlp = Builder.mlp rng ~dims:[ 5; 8; 6; 3 ] in
+  let cnn =
+    Builder.convnet rng ~in_channels:2 ~in_h:6 ~in_w:6
+      ~convs:
+        [ { Builder.out_channels = 3; kernel = 3; stride = 2; padding = 1 };
+          { Builder.out_channels = 2; kernel = 2; stride = 1; padding = 0 } ]
+      ~dense:[ 5 ] ~num_classes:3
+  in
+  List.iter
+    (fun (what, net) ->
+      for _ = 1 to 20 do
+        let x = Array.init (Network.input_dim net) (fun _ -> Rng.range rng (-1.0) 1.0) in
+        let d_out = Array.init (Network.output_dim net) (fun _ -> Rng.range rng (-1.0) 1.0) in
+        Alcotest.(check bool) (what ^ ": bit-identical") true
+          (Network.input_gradient net x ~d_out = fst (Reference.backprop net x ~d_out))
+      done)
+    [ ("mlp", mlp); ("cnn", cnn) ]
+
+(* The in-place trainer reproduces the allocate-and-add one to the last
+   bit, over epochs whose last batch is short, and leaves its argument
+   untouched. *)
+let trainer_matches_reference ~net ~samples ~batch_size =
+  let config = { Trainer.default_config with epochs = 3; batch_size } in
+  let before = Network.layers net in
+  let trained = Trainer.train ~config (Rng.create 4) net samples in
+  let reference = Reference.train config (Rng.create 4) net samples in
+  Alcotest.(check bool) "input network unchanged" true (Network.layers net = before);
+  Alcotest.(check bool) "training moved the weights" true (Network.layers trained <> before);
+  Alcotest.(check bool) "weights bit-identical" true
+    (Network.layers trained = Network.layers reference)
+
+let test_trainer_matches_reference_mlp () =
+  let rng = Rng.create 61 in
+  let net = Builder.mlp rng ~dims:[ 4; 7; 5; 3 ] in
+  let samples =
+    Array.init 23 (fun i ->
+        { Trainer.features = Array.init 4 (fun _ -> Rng.range rng (-1.0) 1.0); label = i mod 3 })
+  in
+  trainer_matches_reference ~net ~samples ~batch_size:5
+
+let test_trainer_matches_reference_conv () =
+  let rng = Rng.create 62 in
+  let net =
+    Builder.convnet rng ~in_channels:1 ~in_h:6 ~in_w:6
+      ~convs:
+        [ { Builder.out_channels = 2; kernel = 3; stride = 2; padding = 1 };
+          { Builder.out_channels = 3; kernel = 2; stride = 1; padding = 0 } ]
+      ~dense:[ 6 ] ~num_classes:3
+  in
+  let samples =
+    Array.init 17 (fun i ->
+        { Trainer.features = Array.init 36 (fun _ -> Rng.uniform rng); label = i mod 3 })
+  in
+  trainer_matches_reference ~net ~samples ~batch_size:3
 
 (* --- Conv --- *)
 
@@ -130,9 +335,17 @@ let test_conv_backward_matches_fd () =
   let x = Array.init (Conv.input_dim c) (fun _ -> Rng.range rng (-1.0) 1.0) in
   let d_out = Array.init (Conv.output_dim c) (fun _ -> Rng.range rng (-1.0) 1.0) in
   let f x = Vector.dot d_out (Conv.forward c x) in
-  let d_in, _ = Conv.backward c ~input:x ~d_out in
   Alcotest.(check bool) "conv input grad" true
-    (Vector.approx_equal ~tol:1e-4 d_in (finite_diff_grad f x))
+    (Vector.approx_equal ~tol:1e-4 (Conv.input_gradient c ~d_out) (finite_diff_grad f x));
+  let d_weight = Array.make (Array.length c.Conv.weight) 0.0 in
+  let d_bias = Array.make c.Conv.out_channels 0.0 in
+  Conv.add_param_gradient c ~input:x ~d_out ~d_weight ~d_bias;
+  let of_weight w = Vector.dot d_out (Conv.forward { c with Conv.weight = w } x) in
+  let of_bias b = Vector.dot d_out (Conv.forward { c with Conv.bias = b } x) in
+  Alcotest.(check bool) "conv weight grad" true
+    (Vector.approx_equal ~tol:1e-4 d_weight (finite_diff_grad of_weight c.Conv.weight));
+  Alcotest.(check bool) "conv bias grad" true
+    (Vector.approx_equal ~tol:1e-4 d_bias (finite_diff_grad of_bias c.Conv.bias))
 
 (* --- Affine compilation --- *)
 
@@ -307,6 +520,8 @@ let suite =
         Alcotest.test_case "mismatch rejected" `Quick test_network_create_rejects_mismatch;
         Alcotest.test_case "input grad vs fd" `Quick test_input_gradient_matches_fd;
         Alcotest.test_case "sgd step descends" `Quick test_param_gradient_descends;
+        Alcotest.test_case "input grad matches reference" `Quick
+          test_input_gradient_matches_reference;
         qtest prop_forward_deterministic
       ] );
     ( "nn.conv",
@@ -326,6 +541,8 @@ let suite =
     ( "nn.trainer",
       [ Alcotest.test_case "learns blobs" `Quick test_trainer_learns_blobs;
         Alcotest.test_case "loss decreases" `Quick test_trainer_loss_decreases;
+        Alcotest.test_case "matches reference (mlp)" `Quick test_trainer_matches_reference_mlp;
+        Alcotest.test_case "matches reference (conv)" `Quick test_trainer_matches_reference_conv;
         Alcotest.test_case "softmax normalises" `Quick test_softmax_normalises;
         Alcotest.test_case "softmax stable" `Quick test_softmax_stable_large_logits
       ] );

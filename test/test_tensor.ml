@@ -80,10 +80,6 @@ let test_mat_mv_tmv () =
   Alcotest.check vec "mv" [| 5.0; 11.0; 17.0 |] (Matrix.mv a [| 1.0; 2.0 |]);
   Alcotest.check vec "tmv" [| 22.0; 28.0 |] (Matrix.tmv a [| 1.0; 2.0; 3.0 |])
 
-let test_mat_outer () =
-  let o = Matrix.outer [| 1.0; 2.0 |] [| 3.0; 4.0 |] in
-  Alcotest.check mat "outer" (m22 3.0 4.0 6.0 8.0) o
-
 let test_mat_row_col () =
   let a = m22 1.0 2.0 3.0 4.0 in
   Alcotest.check vec "row" [| 3.0; 4.0 |] (Matrix.row a 1);
@@ -199,7 +195,6 @@ let suite =
         Alcotest.test_case "matmul dims" `Quick test_mat_matmul_dims;
         Alcotest.test_case "transpose" `Quick test_mat_transpose;
         Alcotest.test_case "mv/tmv" `Quick test_mat_mv_tmv;
-        Alcotest.test_case "outer" `Quick test_mat_outer;
         Alcotest.test_case "row/col" `Quick test_mat_row_col;
         Alcotest.test_case "add/sub/scale" `Quick test_mat_add_sub_scale;
         Alcotest.test_case "ragged rejected" `Quick test_mat_of_rows_ragged;

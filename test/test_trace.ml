@@ -599,6 +599,22 @@ let readers_agree_cases =
       ("abonn", fun ~budget p -> Abonn_core.Abonn.verify ~budget ~domains:1 p);
       ("inputsplit", fun ~budget p -> Abonn_bab.Inputsplit.verify ~budget ~domains:1 p);
       ("ab-crown", fun ~budget p -> Abonn_crown.Alphabeta.verify ~budget ~domains:1 p) ]
+  @ [ (* every undecided node escalates to the LP: each call emits the
+         cheap and then the expensive bound_computed, and still counts
+         once *)
+      ( "agree on bestfirst under lp triage",
+        check_readers_agree ~engine:"bestfirst" (fun ~budget p ->
+            let module Appver = Abonn_prop.Appver in
+            let crit =
+              { Appver.default_triage with
+                Appver.lb_threshold = infinity;
+                impr_threshold = neg_infinity }
+            in
+            let appver =
+              Appver.triaged ~crit ~cheap:Appver.deeppoly
+                ~expensive:Abonn_lp.Lp_verifier.appver ()
+            in
+            Abonn_bab.Bestfirst.verify ~appver ~budget ~domains:1 p) ) ]
 
 (* --- diff --- *)
 
