@@ -1,5 +1,6 @@
-(* Benchmark harness: one Bechamel test per reproduced table/figure plus
-   micro-benchmarks of the verification kernels.
+(* Benchmark harness: Bechamel tests of the reproduced tables/figures
+   that run the engines, plus micro-benchmarks of the verification
+   kernels.
 
      dune exec bench/main.exe
      dune exec bench/main.exe -- --json BENCH_kernels.json
@@ -33,10 +34,7 @@ let first_problem =
 
 let mini_calls = 120
 
-(* --- table/figure benches (one per §V artifact) --- *)
-
-let bench_table1 =
-  Test.make ~name:"table1" (Staged.stage (fun () -> Experiment.table1 suite))
+(* --- table/figure benches (scaled-down §V runs) --- *)
 
 let bench_fig3 =
   Test.make ~name:"fig3"
@@ -59,12 +57,6 @@ let bench_fig4_scatter =
              suite
          in
          Experiment.fig4 rq))
-
-let bench_fig5_heatmap =
-  Test.make ~name:"fig5_heatmap"
-    (Staged.stage (fun () ->
-         Experiment.rq2 ~calls:60 ~lambdas:[ 0.0; 0.5; 1.0 ] ~cs:[ 0.0; 0.2 ]
-           ~max_instances:2 suite))
 
 let bench_fig6_boxes =
   Test.make ~name:"fig6_boxes"
@@ -143,8 +135,8 @@ let bench_attack_pgd =
 
 let tests =
   Test.make_grouped ~name:"abonn"
-    [ bench_table1; bench_fig3; bench_table2_rq1; bench_fig4_scatter;
-      bench_fig5_heatmap; bench_fig6_boxes; bench_ablation; bench_appver_deeppoly;
+    [ bench_fig3; bench_table2_rq1; bench_fig4_scatter; bench_fig6_boxes; bench_ablation;
+      bench_appver_deeppoly;
       bench_appver_interval; bench_appver_zonotope; bench_appver_lp; bench_appver_lp_warm;
       bench_engine_bfs; bench_engine_abonn; bench_attack_pgd ]
 

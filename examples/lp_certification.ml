@@ -17,8 +17,7 @@ module Outcome = Abonn_prop.Outcome
 module Appver = Abonn_prop.Appver
 module Table = Abonn_util.Table
 
-let verifiers =
-  [ Appver.interval; Appver.deeppoly_zero; Appver.deeppoly; Abonn_lp.Lp_verifier.appver ]
+let verifiers = [ Appver.interval; Appver.deeppoly; Abonn_lp.Lp_verifier.appver ]
 
 let () =
   print_endline "training mnist_l2...";

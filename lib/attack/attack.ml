@@ -38,19 +38,6 @@ let margin problem x = Problem.concrete_margin problem x
 
 let hit problem x = if margin problem x <= 0.0 then Some x else None
 
-(* Gradient of the currently-worst margin row at [x]. *)
-let worst_row_gradient (problem : Problem.t) x =
-  let prop = problem.Problem.property in
-  let y = Network.forward problem.Problem.network x in
-  let vals = Matrix.mv prop.Property.c y in
-  let worst = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v +. prop.Property.d.(i) < vals.(!worst) +. prop.Property.d.(!worst) then worst := i)
-    vals;
-  let d_out = Matrix.row prop.Property.c !worst in
-  Network.input_gradient problem.Problem.network x ~d_out
-
 let fgsm_run _rng (problem : Problem.t) =
   let region = problem.Problem.region in
   let prop = problem.Problem.property in
@@ -86,7 +73,7 @@ let pgd_run ~restarts ~steps ~step_frac rng (problem : Problem.t) =
     let rec go step =
       if !best_margin <= 0.0 || step >= steps then ()
       else begin
-        let g = worst_row_gradient problem !x in
+        let g = Problem.worst_row_gradient problem !x in
         let x' =
           Array.mapi
             (fun j xj ->

@@ -3,7 +3,6 @@ module Affine = Abonn_nn.Affine
 module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
-module Split = Abonn_spec.Split
 module Bounds = Abonn_prop.Bounds
 
 exception Unresolvable of string
@@ -56,16 +55,11 @@ let any_unstable pre_bounds =
   Array.exists (fun b -> Bounds.num_unstable b > 0) pre_bounds
 
 (* Fold Γ's phases into the leaf's bounds ([None]: a clamp emptied a
-   layer, so the leaf is vacuous).  Bounds from the DeepPoly family
-   already carry every split; the clamp makes the leaf's phase pattern
-   agree with Γ whichever AppVer produced them. *)
-let clamp_gamma affine (pre_bounds : Bounds.t array) gamma =
-  let clamped = Array.copy pre_bounds in
-  List.iter
-    (fun (c : Split.constr) ->
-      let layer, idx = Affine.relu_position affine c.Split.relu in
-      clamped.(layer) <- Bounds.apply_split clamped.(layer) ~idx ~phase:c.Split.phase)
-    gamma;
+   layer, so the leaf is vacuous).  Bounds from [Bounds.forward] already
+   carry every split; the clamp makes the leaf's phase pattern agree
+   with Γ whichever AppVer produced them. *)
+let clamp_gamma affine pre_bounds gamma =
+  let clamped = Array.mapi (Bounds.apply_splits affine gamma) pre_bounds in
   if Array.exists Bounds.is_infeasible clamped then None else Some clamped
 
 (* Exact minimum of one affine objective over the leaf polytope. *)

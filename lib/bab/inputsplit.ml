@@ -1,8 +1,6 @@
 module Region = Abonn_spec.Region
 module Problem = Abonn_spec.Problem
-module Property = Abonn_spec.Property
 module Appver = Abonn_prop.Appver
-module Matrix = Abonn_tensor.Matrix
 
 type strategy = Widest | Gradient_weighted
 
@@ -40,18 +38,7 @@ let widest_dim (region : Region.t) =
   (best, best_w)
 
 let gradient_choice (problem : Problem.t) (region : Region.t) =
-  let centre = Region.center region in
-  let y = Abonn_nn.Network.forward problem.Problem.network centre in
-  let prop = problem.Problem.property in
-  (* gradient of the worst margin row at the centre *)
-  let vals = Matrix.mv prop.Property.c y in
-  let worst = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v +. prop.Property.d.(i) < vals.(!worst) +. prop.Property.d.(!worst) then worst := i)
-    vals;
-  let d_out = Matrix.row prop.Property.c !worst in
-  let g = Abonn_nn.Network.input_gradient problem.Problem.network centre ~d_out in
+  let g = Problem.worst_row_gradient problem (Region.center region) in
   let best, best_s, run, run_s =
     scan2
       (Array.length region.Region.lower)

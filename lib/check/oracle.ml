@@ -139,12 +139,7 @@ type domain = {
 let domains =
   [ { dname = "interval"; drun = Interval.run; dhidden = Interval.hidden_bounds };
     { dname = "zonotope"; drun = Zonotope.run; dhidden = Zonotope.hidden_bounds };
-    { dname = "deeppoly"; drun = Deeppoly.run ?slope:None;
-      dhidden = Deeppoly.hidden_bounds ?slope:None };
-    { dname = "deeppoly-zero"; drun = Deeppoly.run ~slope:Deeppoly.Always_zero;
-      dhidden = Deeppoly.hidden_bounds ~slope:Deeppoly.Always_zero };
-    { dname = "deeppoly-one"; drun = Deeppoly.run ~slope:Deeppoly.Always_one;
-      dhidden = Deeppoly.hidden_bounds ~slope:Deeppoly.Always_one } ]
+    { dname = "deeppoly"; drun = Deeppoly.run; dhidden = Deeppoly.hidden_bounds } ]
 
 let row_margins (problem : Problem.t) y =
   let prop = problem.Problem.property in
@@ -492,7 +487,6 @@ let contained_in_parent (warm : Outcome.t) (parent : Incremental.t) =
   !bad
 
 let run_incremental cfg rng problem =
-  let slope = Deeppoly.Adaptive in
   let k = Problem.num_relus problem in
   let points = probe_points cfg rng problem in
   let walk_verdict =
@@ -553,9 +547,9 @@ let run_incremental cfg rng problem =
            let layer, idx = Affine.relu_position affine relu in
            let phase = if pre.(layer).(idx) >= 0.0 then Split.Active else Split.Inactive in
            gamma := Split.extend !gamma ~relu ~phase;
-           let scratch = Deeppoly.run ~slope problem !gamma in
+           let scratch = Deeppoly.run problem !gamma in
            let parent = !state in
-           let warm, next = Deeppoly.run_warm ~slope ?state:parent problem !gamma in
+           let warm, next = Deeppoly.run_warm ?state:parent problem !gamma in
            (match step_check parent warm scratch with
             | Pass -> ()
             | Fail _ as f ->
@@ -570,7 +564,7 @@ let run_incremental cfg rng problem =
                   (Split.to_string !gamma);
               raise Exit
             | Some st ->
-              let again, _ = Deeppoly.run_warm ~slope ~state:st problem !gamma in
+              let again, _ = Deeppoly.run_warm ~state:st problem !gamma in
               let same_rows =
                 Array.length again.Outcome.row_lower = Array.length warm.Outcome.row_lower
                 && Array.for_all2 Float.equal again.Outcome.row_lower warm.Outcome.row_lower

@@ -25,9 +25,13 @@ let problem_of ~affine ~center ~label ~num_classes ~eps =
   let property = Property.robustness ~num_classes ~label in
   Problem.of_affine ~affine ~region ~property ()
 
+(* Instance generation bounds candidate problems outside any run, so it
+   calls DeepPoly uninstrumented: no [bound_computed] event, counter or
+   span. *)
+let root_outcome problem = fst (Abonn_prop.Deeppoly.analyse_warm problem [])
+
 let proves ~affine ~center ~label ~num_classes ~eps =
-  let problem = problem_of ~affine ~center ~label ~num_classes ~eps in
-  Outcome.proved (Abonn_prop.Deeppoly.run problem [])
+  Outcome.proved (root_outcome (problem_of ~affine ~center ~label ~num_classes ~eps))
 
 let certified_radius ~affine ~center ~label ~num_classes =
   let rec bisect lo hi n =
@@ -68,7 +72,7 @@ let default_bands =
    call neither proves it nor validates its candidate: BaB must actually
    branch (tree size >= 3 in Fig. 3's terms). *)
 let undecided_at_root problem =
-  let outcome = Abonn_prop.Deeppoly.run problem [] in
+  let outcome = root_outcome problem in
   (not (Outcome.proved outcome))
   &&
   match outcome.Outcome.candidate with

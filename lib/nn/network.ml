@@ -49,15 +49,16 @@ let num_neurons net =
       | Layer.Relu _ -> acc)
     0 net.layers
 
-let input_gradient net x ~d_out =
+let trace_gradient net values ~d_out =
   if Array.length d_out <> net.output_dim then
-    invalid_arg "Network.input_gradient: wrong d_out size";
-  let values = trace net x in
+    invalid_arg "Network.trace_gradient: wrong d_out size";
   let g = ref d_out in
   for i = Array.length net.layers - 1 downto 0 do
     g := Layer.input_gradient net.layers.(i) ~input:values.(i) ~d_out:!g
   done;
   !g
+
+let input_gradient net x ~d_out = trace_gradient net (trace net x) ~d_out
 
 let predict net x =
   let y = forward net x in

@@ -37,8 +37,12 @@ val num_neurons : t -> int
 
 val input_gradient : t -> float array -> d_out:float array -> float array
 (** Gradient of [d_out · output] w.r.t. the input (for FGSM/PGD): one
-    trace, then {!Layer.input_gradient} from the last layer to the
-    first.  No parameter gradient is formed. *)
+    trace, then {!trace_gradient}.  No parameter gradient is formed. *)
+
+val trace_gradient : t -> float array array -> d_out:float array -> float array
+(** [trace_gradient net (trace net x) ~d_out] is [input_gradient net x
+    ~d_out]: {!Layer.input_gradient} from the last layer to the first
+    over an existing trace. *)
 
 val predict : t -> float array -> int
 (** Argmax output label. *)

@@ -15,10 +15,12 @@ type t = {
 
 (* Observe a verifier: per-call counter, a span timer and a
    [bound_computed] trace event, all gated on [Obs.active] so the
-   un-observed path pays one branch.  The DeepPoly family instruments
-   itself inside [Deeppoly.run_warm] (it is also called directly, e.g. by
-   branching heuristics and the harness cost model), so only the other
-   engines are wrapped here. *)
+   un-observed path pays one branch.  DeepPoly instruments itself inside
+   [Deeppoly.run_warm], so only the other verifiers are wrapped here.
+   Callers whose bounds are not DeepPoly calls of a run use the
+   uninstrumented [Deeppoly.analyse_warm]: instance generation and the
+   harness cost model bound outside any run, and the LP verifier
+   reports its call as its own. *)
 let observed { name; run; warm } =
   { name;
     run =
@@ -152,23 +154,10 @@ let triaged ?(crit = default_triage) ~cheap ~expensive () =
   in
   { name; run; warm = Some warm }
 
-let deeppoly =
-  { name = "deeppoly";
-    run = Deeppoly.run ~slope:Deeppoly.Adaptive;
-    warm = Some (Deeppoly.run_warm ~slope:Deeppoly.Adaptive) }
-
-let deeppoly_zero =
-  { name = "deeppoly-zero";
-    run = Deeppoly.run ~slope:Deeppoly.Always_zero;
-    warm = Some (Deeppoly.run_warm ~slope:Deeppoly.Always_zero) }
-
-let deeppoly_one =
-  { name = "deeppoly-one";
-    run = Deeppoly.run ~slope:Deeppoly.Always_one;
-    warm = Some (Deeppoly.run_warm ~slope:Deeppoly.Always_one) }
+let deeppoly = { name = "deeppoly"; run = Deeppoly.run; warm = Some Deeppoly.run_warm }
 
 let interval = observed { name = "interval"; run = Interval.run; warm = None }
 
 let zonotope = observed { name = "zonotope"; run = Zonotope.run; warm = None }
 
-let all = [ deeppoly; deeppoly_zero; deeppoly_one; zonotope; interval ]
+let all = [ deeppoly; zonotope; interval ]

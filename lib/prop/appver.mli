@@ -73,14 +73,8 @@ val triaged : ?crit:triage_crit -> cheap:t -> expensive:t -> unit -> t
     [appver.triage.escalated] / [appver.triage.skipped]. *)
 
 val deeppoly : t
-(** DeepPoly back-substitution with the adaptive lower slope — the
-    default AppVer, mirroring the paper's [7],[16] stack. *)
-
-val deeppoly_zero : t
-(** DeepPoly with the always-0 lower slope (looser; for ablations). *)
-
-val deeppoly_one : t
-(** DeepPoly with the always-1 lower slope (looser; for ablations). *)
+(** DeepPoly back-substitution — the default AppVer, mirroring the
+    paper's [7],[16] stack. *)
 
 val interval : t
 (** Interval bound propagation (loosest, fastest). *)

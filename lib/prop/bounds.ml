@@ -1,3 +1,10 @@
+module Matrix = Abonn_tensor.Matrix
+module Affine = Abonn_nn.Affine
+module Split = Abonn_spec.Split
+module Region = Abonn_spec.Region
+module Property = Abonn_spec.Property
+module Problem = Abonn_spec.Problem
+
 type t = { lower : float array; upper : float array }
 
 let create ~lower ~upper =
@@ -17,8 +24,8 @@ let apply_split t ~idx ~phase =
   if idx < 0 || idx >= dim t then invalid_arg "Bounds.apply_split: index out of range";
   let lower = Array.copy t.lower and upper = Array.copy t.upper in
   begin match phase with
-  | Abonn_spec.Split.Active -> lower.(idx) <- Float.max lower.(idx) 0.0
-  | Abonn_spec.Split.Inactive -> upper.(idx) <- Float.min upper.(idx) 0.0
+  | Split.Active -> lower.(idx) <- Float.max lower.(idx) 0.0
+  | Split.Inactive -> upper.(idx) <- Float.min upper.(idx) 0.0
   end;
   { lower; upper }
 
@@ -49,8 +56,7 @@ let width t i = t.upper.(i) -. t.lower.(i)
 
 let copy t = { lower = Array.copy t.lower; upper = Array.copy t.upper }
 
-let affine_image (w : Abonn_tensor.Matrix.t) b ~lo ~hi =
-  let module Matrix = Abonn_tensor.Matrix in
+let affine_image (w : Matrix.t) b ~lo ~hi =
   let n = w.Matrix.rows and m = w.Matrix.cols and data = w.Matrix.data in
   if Array.length b <> n || Array.length lo <> m || Array.length hi <> m then
     invalid_arg "Bounds.affine_image: dimension mismatch";
@@ -77,3 +83,64 @@ let affine_image (w : Abonn_tensor.Matrix.t) b ~lo ~hi =
 let intersect t ~lo ~hi =
   { lower = Array.mapi (fun i v -> Float.max v lo.(i)) t.lower;
     upper = Array.mapi (fun i v -> Float.min v hi.(i)) t.upper }
+
+let apply_splits affine gamma l t =
+  List.fold_left
+    (fun t (c : Split.constr) ->
+      let layer, idx = Affine.relu_position affine c.Split.relu in
+      if layer = l then apply_split t ~idx ~phase:c.Split.phase else t)
+    t gamma
+
+type pass = { pre_bounds : t array; post_lo : float array; post_hi : float array }
+
+(* The post-activation box of one pre-activation layer. *)
+let relu_box t =
+  (Array.map (fun v -> Float.max 0.0 v) t.lower, Array.map (fun v -> Float.max 0.0 v) t.upper)
+
+let forward ?refine ?tighten ?(prefix = [||]) (problem : Problem.t) gamma =
+  let affine = problem.Problem.affine in
+  let region = problem.Problem.region in
+  let n_hidden = Affine.num_layers affine - 1 in
+  let pre_bounds = Array.make n_hidden { lower = [||]; upper = [||] } in
+  let from = Array.length prefix in
+  Array.blit prefix 0 pre_bounds 0 from;
+  let rec loop l lo hi =
+    if l >= n_hidden then Ok { pre_bounds; post_lo = lo; post_hi = hi }
+    else begin
+      let zlo, zhi = affine_image Affine.(affine.weights.(l)) Affine.(affine.biases.(l)) ~lo ~hi in
+      let t =
+        match refine with
+        | Some own -> intersect (own l pre_bounds) ~lo:zlo ~hi:zhi
+        | None -> { lower = zlo; upper = zhi }
+      in
+      let t = apply_splits affine gamma l t in
+      let t = match tighten with Some f -> f l t | None -> t in
+      if is_infeasible t then Error (Array.sub pre_bounds 0 l)
+      else begin
+        pre_bounds.(l) <- t;
+        let lo, hi = relu_box t in
+        loop (l + 1) lo hi
+      end
+    end
+  in
+  if from = 0 then loop 0 region.Region.lower region.Region.upper
+  else begin
+    let lo, hi = relu_box pre_bounds.(from - 1) in
+    loop from lo hi
+  end
+
+let row_lower (problem : Problem.t) pass =
+  let affine = problem.Problem.affine in
+  let prop = problem.Problem.property in
+  let last = Affine.num_layers affine - 1 in
+  let ylo, yhi =
+    affine_image Affine.(affine.weights.(last)) Affine.(affine.biases.(last))
+      ~lo:pass.post_lo ~hi:pass.post_hi
+  in
+  Array.init prop.Property.c.Matrix.rows (fun i ->
+      let acc = ref prop.Property.d.(i) in
+      for j = 0 to Array.length ylo - 1 do
+        let a = Matrix.get prop.Property.c i j in
+        acc := !acc +. (if a > 0.0 then a *. ylo.(j) else a *. yhi.(j))
+      done;
+      !acc)

@@ -1,4 +1,5 @@
-(** Per-layer concrete bounds on pre-activations.
+(** Per-layer concrete bounds on pre-activations, and the forward pass
+    every bound domain computes them with.
 
     A [t] holds element-wise lower/upper bounds for one layer's
     pre-activation vector ẑ.  Split constraints are *folded into* these
@@ -49,3 +50,39 @@ val affine_image :
 val intersect : t -> lo:float array -> hi:float array -> t
 (** Per-neuron intersection with another sound interval (tighter of the
     two on each side). *)
+
+val apply_splits : Abonn_nn.Affine.t -> Abonn_spec.Split.gamma -> int -> t -> t
+(** [apply_splits affine gamma l t] clamps [t], the bounds of hidden
+    layer [l], by every constraint of [gamma] at that layer, in
+    [gamma]'s order. *)
+
+(** {1 The forward pass} *)
+
+type pass = {
+  pre_bounds : t array;  (** every hidden layer, splits folded in *)
+  post_lo : float array;
+      (** post-activation box of the deepest hidden layer (the input
+          box without one) *)
+  post_hi : float array;
+}
+
+val forward :
+  ?refine:(int -> t array -> t) ->
+  ?tighten:(int -> t -> t) ->
+  ?prefix:t array ->
+  Abonn_spec.Problem.t ->
+  Abonn_spec.Split.gamma ->
+  (pass, t array) result
+(** Bound every hidden layer in turn, from the input box.  Layer [l]
+    gets the interval image ({!affine_image}) of the previous layer's
+    post-ReLU box, intersected with the domain's own bound
+    [refine l pre_bounds] (which may read the layers below [l]), then
+    Γ's splits at [l] ({!apply_splits}), then [tighten l].  An empty
+    interval stops the pass: [Error] carries the layers bounded before
+    it.  With [prefix], its layers are taken verbatim and the pass
+    starts above them.  Without [refine] this is interval bound
+    propagation. *)
+
+val row_lower : Abonn_spec.Problem.t -> pass -> float array
+(** Interval lower bound of each property row [c·y + d] over the output
+    box reached from the pass's last post-activation box. *)

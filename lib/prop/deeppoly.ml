@@ -7,14 +7,6 @@ module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
 
-type slope = Adaptive | Always_zero | Always_one
-
-let lower_slope slope ~lo ~hi =
-  match slope with
-  | Always_zero -> 0.0
-  | Always_one -> 1.0
-  | Adaptive -> if hi > -.lo then 1.0 else 0.0
-
 (* One symbolic bound: coefficients over some layer's (post-)activations
    plus a constant.  [lo_coef]/[lo_const] lower-bound the target,
    [hi_coef]/[hi_const] upper-bound it. *)
@@ -29,8 +21,10 @@ type sym = {
    using the triangle relaxation driven by the (split-clamped) bounds of
    layer k.  Soundness: for the lower bound, positive coefficients take a
    lower relaxation of the ReLU and negative coefficients an upper
-   relaxation; mirrored for the upper bound. *)
-let relax_relu slope (b : Bounds.t) sym =
+   relaxation; mirrored for the upper bound.  The lower relaxation of an
+   unstable neuron is the minimum-area one: slope 1 when [hi > -lo],
+   else 0. *)
+let relax_relu (b : Bounds.t) sym =
   let n = Array.length sym.lo_coef in
   let lo_coef = Array.make n 0.0 and hi_coef = Array.make n 0.0 in
   let lo_const = ref sym.lo_const and hi_const = ref sym.hi_const in
@@ -48,7 +42,7 @@ let relax_relu slope (b : Bounds.t) sym =
     end
     else begin
       let s = hi /. (hi -. lo) in
-      let alpha = lower_slope slope ~lo ~hi in
+      let alpha = if hi > -.lo then 1.0 else 0.0 in
       (* lower bound of target *)
       if al >= 0.0 then lo_coef.(j) <- al *. alpha
       else begin
@@ -116,14 +110,14 @@ let minimizer_corner (region : Region.t) lo_coef =
    all hidden layers < start_layer.  The last step, through W_0, runs
    through one pair of input-width buffers shared by the batch, so the
    targets are left ranging over ẑ_0 (see [input_lo_coef]). *)
-let backsub slope affine region ~pre_bounds ~start_layer syms =
+let backsub affine region ~pre_bounds ~start_layer syms =
   if start_layer = 0 then Array.map (concretize region) syms
   else begin
     for k = start_layer - 1 downto 1 do
-      Array.iter (relax_relu slope pre_bounds.(k)) syms;
+      Array.iter (relax_relu pre_bounds.(k)) syms;
       Array.iter (through_affine Affine.(affine.weights.(k)) Affine.(affine.biases.(k))) syms
     done;
-    Array.iter (relax_relu slope pre_bounds.(0)) syms;
+    Array.iter (relax_relu pre_bounds.(0)) syms;
     let lo_buf = Array.make Affine.(affine.input_dim) 0.0 in
     let hi_buf = Array.make Affine.(affine.input_dim) 0.0 in
     Array.map
@@ -140,11 +134,12 @@ let input_lo_coef affine ~start_layer sym =
 let sym_of_row coef const =
   { lo_coef = Array.copy coef; lo_const = const; hi_coef = Array.copy coef; hi_const = const }
 
-(* Bounds of pre-activation layer l given bounds of previous layers;
-   clamps in the split constraints for layer l afterwards.  Rows of W_0
-   already range over the input: they are concretised straight from the
-   matrix, through one buffer. *)
-let layer_bounds slope affine region ~pre_bounds l =
+(* Back-substituted bounds of pre-activation layer l given the bounds of
+   the layers below it: DeepPoly's own bound in the forward pass.  Rows
+   of W_0 already range over the input: they are concretised straight
+   from the matrix, through one buffer. *)
+let layer_bounds (problem : Problem.t) l pre_bounds =
+  let affine = problem.Problem.affine and region = problem.Problem.region in
   let w = Affine.(affine.weights.(l)) and b = Affine.(affine.biases.(l)) in
   if l = 0 then begin
     let buf = Array.make w.Matrix.cols 0.0 in
@@ -159,26 +154,9 @@ let layer_bounds slope affine region ~pre_bounds l =
   end
   else begin
     let syms = Array.init w.Matrix.rows (fun i -> sym_of_row (Matrix.row w i) b.(i)) in
-    let pairs = backsub slope affine region ~pre_bounds ~start_layer:l syms in
+    let pairs = backsub affine region ~pre_bounds ~start_layer:l syms in
     Bounds.create ~lower:(Array.map fst pairs) ~upper:(Array.map snd pairs)
   end
-
-(* Splits touching hidden layer [l], applied as soon as that layer's
-   bounds exist so deeper layers see the clamped intervals. *)
-let splits_for_layer affine gamma l =
-  List.filter_map
-    (fun (c : Split.constr) ->
-      let layer, idx = Affine.relu_position affine c.Split.relu in
-      if layer = l then Some (idx, c.Split.phase) else None)
-    gamma
-
-(* Forward interval image of one affine layer (for the CROWN-IBP style
-   intersection: back-substituted bounds are not uniformly tighter than
-   plain interval propagation on deep networks, so we keep the tighter of
-   the two per neuron). *)
-let affine_interval w b ~lo ~hi = Bounds.affine_image w b ~lo ~hi
-
-let intersect (a : Bounds.t) ~lo ~hi = Bounds.intersect a ~lo ~hi
 
 (* Intersect a freshly recomputed layer with the parent's certified
    bounds for the same layer.  Sound monotone tightening: the child's
@@ -196,56 +174,6 @@ let intersect_parent (b : Bounds.t) (p : Bounds.t) clamps =
   done;
   Bounds.create ~lower:lo ~upper:hi
 
-(* Hidden-layer bounds plus the forward interval of the deepest
-   post-activation layer (used to clamp the property rows as well).
-
-   The warm-started variant aliases the parent's bounds for every layer
-   below [from_layer] (the split layer: bounds there depend only on the
-   region, lower layers and splits at those layers, all of which a child
-   shares with its parent verbatim), re-propagates from [from_layer]
-   upward and intersects each recomputed layer with the parent's. *)
-let compute_hidden_bounds_from ?parent ?(from_layer = 0) ~clamps slope
-    (problem : Problem.t) gamma =
-  let affine = problem.Problem.affine in
-  let region = problem.Problem.region in
-  let n_hidden = Affine.num_layers affine - 1 in
-  let from_layer = Stdlib.min from_layer n_hidden in
-  let pre_bounds = Array.make n_hidden (Bounds.create ~lower:[||] ~upper:[||]) in
-  (match parent with
-   | Some (p : Bounds.t array) -> Array.blit p 0 pre_bounds 0 from_layer
-   | None -> ());
-  let rec loop l lo hi =
-    if l >= n_hidden then Ok (pre_bounds, lo, hi)
-    else begin
-      let zlo, zhi = affine_interval Affine.(affine.weights.(l)) Affine.(affine.biases.(l)) ~lo ~hi in
-      let b = layer_bounds slope affine region ~pre_bounds l in
-      let b = intersect b ~lo:zlo ~hi:zhi in
-      let b =
-        List.fold_left
-          (fun b (idx, phase) -> Bounds.apply_split b ~idx ~phase)
-          b (splits_for_layer affine gamma l)
-      in
-      let b = match parent with Some p -> intersect_parent b p.(l) clamps | None -> b in
-      if Bounds.is_infeasible b then Error (Array.sub pre_bounds 0 l)
-      else begin
-        pre_bounds.(l) <- b;
-        let post_lo = Array.map (fun v -> Float.max 0.0 v) b.Bounds.lower in
-        let post_hi = Array.map (fun v -> Float.max 0.0 v) b.Bounds.upper in
-        loop (l + 1) post_lo post_hi
-      end
-    end
-  in
-  if from_layer = 0 then loop 0 (Array.copy region.Region.lower) (Array.copy region.Region.upper)
-  else begin
-    let b = pre_bounds.(from_layer - 1) in
-    loop from_layer
-      (Array.map (fun v -> Float.max 0.0 v) b.Bounds.lower)
-      (Array.map (fun v -> Float.max 0.0 v) b.Bounds.upper)
-  end
-
-let compute_hidden_bounds slope problem gamma =
-  compute_hidden_bounds_from ~clamps:(ref 0) slope problem gamma
-
 let property_syms (problem : Problem.t) =
   let affine = problem.Problem.affine in
   let prop = problem.Problem.property in
@@ -260,34 +188,26 @@ let property_syms (problem : Problem.t) =
       through_affine w b sym;
       sym)
 
-(* Interval-based lower bound of each property row over the output box
-   reached from the last hidden layer's post-activation interval. *)
-let interval_row_lower (problem : Problem.t) ~lo ~hi =
-  let affine = problem.Problem.affine in
-  let prop = problem.Problem.property in
-  let last = Affine.num_layers affine - 1 in
-  let ylo, yhi = affine_interval Affine.(affine.weights.(last)) Affine.(affine.biases.(last)) ~lo ~hi in
-  Array.init prop.Property.c.Matrix.rows (fun i ->
-      let acc = ref prop.Property.d.(i) in
-      for j = 0 to Array.length ylo - 1 do
-        let a = Matrix.get prop.Property.c i j in
-        acc := !acc +. (if a > 0.0 then a *. ylo.(j) else a *. yhi.(j))
-      done;
-      !acc)
-
-let analyse_core ?parent ?(from_layer = 0) ~clamps slope (problem : Problem.t) gamma =
+(* The forward pass with back-substituted layer bounds, then the
+   property rows.  Warm-started, it aliases the parent's bounds for every
+   layer below [from_layer] (the split layer: bounds there depend only on
+   the region, lower layers and splits at those layers, all of which a
+   child shares with its parent verbatim), re-propagates from
+   [from_layer] upward and intersects each recomputed layer with the
+   parent's, after its splits. *)
+let analyse_core ?parent ?(from_layer = 0) ~clamps (problem : Problem.t) gamma =
   let affine = problem.Problem.affine in
   let region = problem.Problem.region in
-  let parent_bounds = Option.map (fun (p : Incremental.t) -> p.Incremental.pre_bounds) parent in
-  match
-    compute_hidden_bounds_from ?parent:parent_bounds ~from_layer ~clamps slope problem gamma
-  with
+  let warm = Option.map (fun (p : Incremental.t) -> p.Incremental.pre_bounds) parent in
+  let tighten = Option.map (fun p l b -> intersect_parent b p.(l) clamps) warm in
+  let prefix = Option.map (fun p -> Array.sub p 0 from_layer) warm in
+  match Bounds.forward ~refine:(layer_bounds problem) ?tighten ?prefix problem gamma with
   | Error partial -> Outcome.vacuous ~pre_bounds:partial
-  | Ok (pre_bounds, post_lo, post_hi) ->
+  | Ok pass ->
     let syms = property_syms problem in
     let last = Affine.num_layers affine - 1 in
-    let pairs = backsub slope affine region ~pre_bounds ~start_layer:last syms in
-    let ibp_rows = interval_row_lower problem ~lo:post_lo ~hi:post_hi in
+    let pairs = backsub affine region ~pre_bounds:pass.Bounds.pre_bounds ~start_layer:last syms in
+    let ibp_rows = Bounds.row_lower problem pass in
     let row_lower = Array.mapi (fun i (lo, _) -> Float.max lo ibp_rows.(i)) pairs in
     (* The parent's certified rows are still lower bounds over the
        child's (smaller) feasible set: keep the tighter per row. *)
@@ -298,30 +218,21 @@ let analyse_core ?parent ?(from_layer = 0) ~clamps slope (problem : Problem.t) g
          (fun i v -> if v > row_lower.(i) then begin row_lower.(i) <- v; incr clamps end)
          p.Incremental.row_lower
      | _ -> ());
-    let phat = Array.fold_left Float.min infinity row_lower in
-    let candidate =
-      if phat > 0.0 then None
-      else begin
-        (* Corner minimising the worst row's symbolic lower bound. *)
-        let worst = ref 0 in
-        Array.iteri (fun i v -> if v < row_lower.(!worst) then worst := i) row_lower;
-        Some (minimizer_corner region (input_lo_coef affine ~start_layer:last syms.(!worst)))
-      end
+    (* Corner minimising the worst row's symbolic lower bound. *)
+    let candidate worst =
+      minimizer_corner region (input_lo_coef affine ~start_layer:last syms.(worst))
     in
-    Outcome.make ~phat ?candidate ~pre_bounds ~row_lower ()
+    Outcome.of_rows ~candidate ~pre_bounds:pass.Bounds.pre_bounds row_lower
 
-let slope_name = function
-  | Adaptive -> "deeppoly"
-  | Always_zero -> "deeppoly-zero"
-  | Always_one -> "deeppoly-one"
+let name = "deeppoly"
 
-let hidden_bounds ?(slope = Adaptive) problem gamma =
-  match compute_hidden_bounds slope problem gamma with
-  | Ok (b, _, _) -> Some b
+let hidden_bounds problem gamma =
+  match Bounds.forward ~refine:(layer_bounds problem) problem gamma with
+  | Ok pass -> Some pass.Bounds.pre_bounds
   | Error _ -> None
 
 (* How much of [state] is reusable for this node. *)
-let reuse_of name state problem gamma =
+let reuse_of state problem gamma =
   match state with
   | Some st -> Incremental.classify st ~appver:name ~problem ~gamma
   | None -> Incremental.Incompatible
@@ -331,13 +242,13 @@ let reuse_of name state problem gamma =
    An incompatible or absent state degenerates to the from-scratch path
    (plus building the state).  [clamps] counts the values the parent's
    bounds tightened. *)
-let warm_core ~clamps name slope state reuse (problem : Problem.t) gamma =
+let warm_core ~clamps state reuse (problem : Problem.t) gamma =
   let outcome =
     match reuse with
     | Incremental.Prefix from_layer ->
-      analyse_core ?parent:state ~from_layer ~clamps slope problem gamma
-    | Incremental.Tighten -> analyse_core ?parent:state ~clamps slope problem gamma
-    | Incremental.Incompatible -> analyse_core ~clamps slope problem gamma
+      analyse_core ?parent:state ~from_layer ~clamps problem gamma
+    | Incremental.Tighten -> analyse_core ?parent:state ~clamps problem gamma
+    | Incremental.Incompatible -> analyse_core ~clamps problem gamma
   in
   let n_hidden = Affine.num_layers problem.Problem.affine - 1 in
   let state' =
@@ -352,25 +263,20 @@ let warm_core ~clamps name slope state reuse (problem : Problem.t) gamma =
   in
   (outcome, state')
 
-let analyse_warm ?(slope = Adaptive) ?state problem gamma =
-  let name = slope_name slope in
-  warm_core ~clamps:(ref 0) name slope state (reuse_of name state problem gamma)
-    problem gamma
+let analyse_warm ?state problem gamma =
+  warm_core ~clamps:(ref 0) state (reuse_of state problem gamma) problem gamma
 
 (* [analyse_warm] with instrumentation: one [bound_computed] event, the
    [appver.<name>] counter and span per call, and on reuse one
    [bound_reuse] event and the [appver.cache.*] counters.  The only
    instrumented entry point: [run] is this call without a state. *)
-let run_warm ?(slope = Adaptive) ?state problem gamma =
-  let name = slope_name slope in
-  let reuse = reuse_of name state problem gamma in
+let run_warm ?state problem gamma =
+  let reuse = reuse_of state problem gamma in
   let clamps = ref 0 in
-  if not (Obs.active ()) then warm_core ~clamps name slope state reuse problem gamma
+  if not (Obs.active ()) then warm_core ~clamps state reuse problem gamma
   else begin
     let t0 = Obs.now () in
-    let ((outcome, _) as result) =
-      warm_core ~clamps name slope state reuse problem gamma
-    in
+    let ((outcome, _) as result) = warm_core ~clamps state reuse problem gamma in
     let elapsed = Obs.now () -. t0 in
     Obs.incr (Printf.sprintf "appver.%s.calls" name);
     Obs.span ("appver." ^ name) elapsed;
@@ -399,4 +305,4 @@ let run_warm ?(slope = Adaptive) ?state problem gamma =
     result
   end
 
-let run ?slope problem gamma = fst (run_warm ?slope problem gamma)
+let run problem gamma = fst (run_warm problem gamma)

@@ -4,29 +4,23 @@
     [16] in its references).  For each hidden layer the pre-activation
     vector is bounded by propagating symbolic linear bounds back to the
     input box; unstable ReLUs are replaced by the triangle relaxation
-    (upper: [u/(u−l)·(ẑ−l)]) with a configurable lower slope.  Split
-    constraints are folded into the per-neuron bounds, and infeasible
-    splits short-circuit into a vacuously proved outcome.
+    (upper: [u/(u−l)·(ẑ−l)]) with the per-neuron minimum-area lower
+    slope: 1 when [u > −l], else 0 — the DeepPoly choice, and the greedy
+    optimum of α-CROWN's per-coefficient selection for one pass.
 
-    Back-substituted bounds are intersected per neuron with plain forward
-    interval bounds (CROWN-IBP style): on deep networks neither dominates
-    the other, and production verifiers keep the tighter of the two.
-    Consequently [run] is always at least as tight as [Interval.run].
+    The layer bounds are [Bounds.forward]'s refinement: it intersects
+    them per neuron with plain forward interval bounds (CROWN-IBP style:
+    on deep networks neither dominates the other, and production
+    verifiers keep the tighter of the two), folds the split constraints
+    in, and short-circuits infeasible splits into a vacuously proved
+    outcome.  Consequently [run] is always at least as tight as
+    [Interval.run].
 
     The candidate counterexample is the input-box corner minimising the
     final symbolic lower bound of the worst property row — exactly the
     point an LP over the same relaxation would return at a vertex. *)
 
-type slope =
-  | Adaptive
-      (** per-neuron minimum-area rule: slope 1 when [u > −l], else 0 —
-          the DeepPoly choice, and the greedy optimum of α-CROWN's
-          per-coefficient selection for one pass *)
-  | Always_zero  (** always relax the lower bound to 0 *)
-  | Always_one   (** always keep the identity lower bound *)
-
 val run :
-  ?slope:slope ->
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
   Outcome.t
@@ -35,7 +29,6 @@ val run :
     the returned state dropped. *)
 
 val hidden_bounds :
-  ?slope:slope ->
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
   Bounds.t array option
@@ -43,7 +36,6 @@ val hidden_bounds :
     infeasible).  Used by branching heuristics and tests. *)
 
 val run_warm :
-  ?slope:slope ->
   ?state:Incremental.t ->
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->
@@ -59,10 +51,10 @@ val run_warm :
     DeepPoly's one instrumented entry point: one [bound_computed] event
     and the [appver.<name>] counter and span per call, plus one
     [bound_reuse] event and the [appver.cache.*] counters when the state
-    was reused. *)
+    was reused; [appver.cache.tighten_clamps] counts the bounds and rows
+    the parent's tightened. *)
 
 val analyse_warm :
-  ?slope:slope ->
   ?state:Incremental.t ->
   Abonn_spec.Problem.t ->
   Abonn_spec.Split.gamma ->

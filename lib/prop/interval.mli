@@ -7,8 +7,9 @@
     an AppVer for ablations. *)
 
 val run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Outcome.t
-(** The candidate counterexample is the input-box corner that minimises
-    the first property row's first-order estimate at the box centre. *)
+(** [Bounds.forward] without a refinement.  The candidate counterexample
+    is the input-box corner that minimises the worst property row's
+    first-order estimate at the box centre. *)
 
 val phat : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> float
 (** [(run problem gamma).phat] without the candidate: [infinity] when

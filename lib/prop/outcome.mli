@@ -32,5 +32,13 @@ val make :
   unit ->
   t
 
+val of_rows :
+  ?candidate:(int -> float array) -> pre_bounds:Bounds.t array -> float array -> t
+(** [of_rows ?candidate ~pre_bounds row_lower]: the outcome of a
+    feasible sub-problem whose certified per-row lower bounds are
+    [row_lower].  [phat] is their minimum; unless it is positive,
+    [candidate] (when given) is called on the worst row, the first
+    minimal one, for the candidate counterexample. *)
+
 val vacuous : pre_bounds:Bounds.t array -> t
 (** Outcome of an infeasible sub-problem. *)

@@ -1,6 +1,5 @@
 module Matrix = Abonn_tensor.Matrix
 module Affine = Abonn_nn.Affine
-module Split = Abonn_spec.Split
 module Region = Abonn_spec.Region
 module Property = Abonn_spec.Property
 module Problem = Abonn_spec.Problem
@@ -92,45 +91,25 @@ let relu_image (b : Bounds.t) f =
   done;
   { centers; gens; nsym }
 
-let splits_for_layer affine gamma l =
-  List.filter_map
-    (fun (c : Split.constr) ->
-      let layer, idx = Affine.relu_position affine c.Split.relu in
-      if layer = l then Some (idx, c.Split.phase) else None)
-    gamma
+(* The forms entering affine layer [l]: the input forms at [l = 0], else
+   the ReLU image of layer [l - 1]'s pre-activation forms under its
+   final (split-clamped) bounds. *)
+let layer_input pre_bounds l forms = if l = 0 then forms else relu_image pre_bounds.(l - 1) forms
 
-(* As in [Deeppoly], the domain's own concretisation is intersected with
-   plain forward intervals (the DeepZ ReLU can concretise below 0, so
-   neither dominates; production stacks keep the tighter of the two). *)
+(* The domain's own bound of hidden layer [l] is the concretisation of
+   its pre-activation forms, which the pass intersects with plain
+   forward intervals (the DeepZ ReLU can concretise below 0, so neither
+   dominates; production stacks keep the tighter of the two).  Returns
+   the pass and the last forms [layer_input] reads. *)
 let propagate (problem : Problem.t) gamma =
   let affine = problem.Problem.affine in
-  let region = problem.Problem.region in
-  let n_hidden = Affine.num_layers affine - 1 in
-  let pre_bounds = Array.make n_hidden (Bounds.create ~lower:[||] ~upper:[||]) in
-  let rec loop l f lo hi =
-    if l >= n_hidden then Ok (pre_bounds, f, lo, hi)
-    else begin
-      let w = Affine.(affine.weights.(l)) and bias = Affine.(affine.biases.(l)) in
-      let pre = affine_image w bias f in
-      let zlo, zhi = Bounds.affine_image w bias ~lo ~hi in
-      let b = Bounds.intersect (concretize pre) ~lo:zlo ~hi:zhi in
-      let b =
-        List.fold_left
-          (fun b (idx, phase) -> Bounds.apply_split b ~idx ~phase)
-          b (splits_for_layer affine gamma l)
-      in
-      if Bounds.is_infeasible b then Error (Array.sub pre_bounds 0 l)
-      else begin
-        pre_bounds.(l) <- b;
-        let post_lo = Array.map (fun v -> Float.max 0.0 v) b.Bounds.lower in
-        let post_hi = Array.map (fun v -> Float.max 0.0 v) b.Bounds.upper in
-        loop (l + 1) (relu_image b pre) post_lo post_hi
-      end
-    end
+  let forms = ref (input_forms problem.Problem.region) in
+  let refine l pre_bounds =
+    let w = Affine.(affine.weights.(l)) and b = Affine.(affine.biases.(l)) in
+    forms := affine_image w b (layer_input pre_bounds l !forms);
+    concretize !forms
   in
-  loop 0 (input_forms problem.Problem.region)
-    (Array.copy region.Region.lower)
-    (Array.copy region.Region.upper)
+  Result.map (fun pass -> (pass, !forms)) (Bounds.forward ~refine problem gamma)
 
 let run (problem : Problem.t) gamma =
   let affine = problem.Problem.affine in
@@ -138,58 +117,47 @@ let run (problem : Problem.t) gamma =
   let prop = problem.Problem.property in
   match propagate problem gamma with
   | Error partial -> Outcome.vacuous ~pre_bounds:partial
-  | Ok (pre_bounds, last_post, post_lo, post_hi) ->
+  | Ok (pass, forms) ->
     let last = Affine.num_layers affine - 1 in
-    let w_last = Affine.(affine.weights.(last)) and b_last = Affine.(affine.biases.(last)) in
-    let out = affine_image w_last b_last last_post in
-    let ylo, yhi = Bounds.affine_image w_last b_last ~lo:post_lo ~hi:post_hi in
-    (* property rows as affine forms over the same symbols *)
-    let nrows = prop.Property.c.Matrix.rows in
-    let input_dim = Affine.(affine.input_dim) in
-    let row_lower = Array.make nrows 0.0 in
-    let row_gens = Array.make nrows [||] in
-    for r = 0 to nrows - 1 do
-      let centre = ref prop.Property.d.(r) in
-      let g = Array.make out.nsym 0.0 in
-      for j = 0 to Array.length out.centers - 1 do
-        let crj = Matrix.get prop.Property.c r j in
-        if crj <> 0.0 then begin
-          centre := !centre +. (crj *. out.centers.(j));
-          let gj = out.gens.(j) in
-          for k = 0 to out.nsym - 1 do
-            g.(k) <- g.(k) +. (crj *. gj.(k))
-          done
-        end
-      done;
-      let dev = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 g in
-      (* IBP row bound over the output box, kept when tighter *)
-      let ibp_row = ref prop.Property.d.(r) in
-      for j = 0 to Array.length ylo - 1 do
-        let a = Matrix.get prop.Property.c r j in
-        ibp_row := !ibp_row +. (if a > 0.0 then a *. ylo.(j) else a *. yhi.(j))
-      done;
-      row_lower.(r) <- Float.max (!centre -. dev) !ibp_row;
-      row_gens.(r) <- g
-    done;
-    let phat = Array.fold_left Float.min infinity row_lower in
-    let candidate =
-      if phat > 0.0 then None
-      else begin
-        let worst = ref 0 in
-        Array.iteri (fun i v -> if v < row_lower.(!worst) then worst := i) row_lower;
-        let g = row_gens.(!worst) in
-        let centre = Region.center region in
-        (* worst-case corner over the input noise symbols *)
-        Some
-          (Array.init input_dim (fun j ->
-               if g.(j) > 0.0 then region.Region.lower.(j)
-               else if g.(j) < 0.0 then region.Region.upper.(j)
-               else centre.(j)))
-      end
+    let out =
+      affine_image Affine.(affine.weights.(last)) Affine.(affine.biases.(last))
+        (layer_input pass.Bounds.pre_bounds last forms)
     in
-    Outcome.make ~phat ?candidate ~pre_bounds ~row_lower ()
+    (* property rows as affine forms over the same symbols, each kept
+       with the interval row bound when that is tighter *)
+    let row_gens = Array.make prop.Property.c.Matrix.rows [||] in
+    let row_lower =
+      Array.mapi
+        (fun r ibp_row ->
+          let centre = ref prop.Property.d.(r) in
+          let g = Array.make out.nsym 0.0 in
+          for j = 0 to Array.length out.centers - 1 do
+            let crj = Matrix.get prop.Property.c r j in
+            if crj <> 0.0 then begin
+              centre := !centre +. (crj *. out.centers.(j));
+              let gj = out.gens.(j) in
+              for k = 0 to out.nsym - 1 do
+                g.(k) <- g.(k) +. (crj *. gj.(k))
+              done
+            end
+          done;
+          row_gens.(r) <- g;
+          let dev = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 g in
+          Float.max (!centre -. dev) ibp_row)
+        (Bounds.row_lower problem pass)
+    in
+    (* worst-case corner over the input noise symbols *)
+    let candidate worst =
+      let g = row_gens.(worst) in
+      let centre = Region.center region in
+      Array.init Affine.(affine.input_dim) (fun j ->
+          if g.(j) > 0.0 then region.Region.lower.(j)
+          else if g.(j) < 0.0 then region.Region.upper.(j)
+          else centre.(j))
+    in
+    Outcome.of_rows ~candidate ~pre_bounds:pass.Bounds.pre_bounds row_lower
 
 let hidden_bounds problem gamma =
   match propagate problem gamma with
-  | Ok (b, _, _, _) -> Some b
+  | Ok (pass, _) -> Some pass.Bounds.pre_bounds
   | Error _ -> None

@@ -11,10 +11,11 @@
     other, which is exactly why verification stacks ship several
     AppVers.
 
-    Split constraints are folded in through the per-neuron interval
-    clamps (as in [Deeppoly]); infeasible clamps yield a vacuous
-    outcome.  The candidate counterexample assigns each input noise
-    symbol its worst sign for the worst property row. *)
+    The concretised forms refine [Bounds.forward]'s interval pass,
+    which folds the split constraints in as per-neuron clamps;
+    infeasible clamps yield a vacuous outcome.  The candidate
+    counterexample assigns each input noise symbol its worst sign for
+    the worst property row. *)
 
 val run : Abonn_spec.Problem.t -> Abonn_spec.Split.gamma -> Outcome.t
 

@@ -1,4 +1,5 @@
 module Nn = Abonn_nn
+module Matrix = Abonn_tensor.Matrix
 
 type t = {
   name : string;
@@ -38,3 +39,11 @@ let num_relus t = Nn.Affine.(t.affine.num_relus)
 let concrete_margin t x = Property.margin t.property (Nn.Affine.forward t.affine x)
 
 let is_counterexample t x = Region.contains t.region x && concrete_margin t x <= 0.0
+
+let worst_row_gradient t x =
+  let values = Nn.Network.trace t.network x in
+  let c = t.property.Property.c and d = t.property.Property.d in
+  let vals = Matrix.mv c values.(Array.length values - 1) in
+  let worst = ref 0 in
+  Array.iteri (fun i v -> if v +. d.(i) < vals.(!worst) +. d.(!worst) then worst := i) vals;
+  Nn.Network.trace_gradient t.network values ~d_out:(Matrix.row c !worst)

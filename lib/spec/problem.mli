@@ -41,3 +41,9 @@ val concrete_margin : t -> float array -> float
 val is_counterexample : t -> float array -> bool
 (** [valid(x̂)] of the paper: x̂ lies in Φ and violates Ψ on the real
     network. *)
+
+val worst_row_gradient : t -> float array -> float array
+(** Input gradient at [x] of the property row [c·N(x) + d] with the
+    least margin there (the first such row), from one trace of the
+    layered network: its output picks the row, its values carry the
+    backward pass.  Used by PGD and input-split branching. *)

@@ -62,9 +62,6 @@ let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 
 let map f m = { m with data = Array.map f m.data }
 
-let mapi f m =
-  { m with data = Array.mapi (fun k x -> f (k / m.cols) (k mod m.cols) x) m.data }
-
 (* Cache-friendly ikj loop with accumulation directly into the output. *)
 let matmul a b =
   if a.cols <> b.rows then

@@ -31,7 +31,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
 val map : (float -> float) -> t -> t
-val mapi : (int -> int -> float -> float) -> t -> t
 
 val matmul : t -> t -> t
 (** [matmul a b] with [a.cols = b.rows]. *)

@@ -172,6 +172,25 @@ let test_certified_radius_is_certified () =
   Alcotest.(check bool) "certifies at r" true
     (Outcome.proved (Abonn_prop.Deeppoly.run problem []))
 
+(* Instance generation bounds candidates outside any run: bisecting a
+   certified radius must not look like AppVer calls to a trace. *)
+let test_certified_radius_untraced () =
+  let t = Lazy.force small_trained in
+  let affine = Abonn_nn.Affine.of_network t.Models.network in
+  let sample = t.Models.dataset.Synth.test.(0) in
+  let sink, events = Abonn_obs.Sink.memory () in
+  ignore
+    (Abonn_obs.Obs.with_sink sink (fun () ->
+         Instances.certified_radius ~affine ~center:sample.Trainer.features
+           ~label:sample.Trainer.label ~num_classes:10));
+  let bound_computed =
+    List.filter
+      (fun (e : Abonn_obs.Event.envelope) ->
+        Abonn_obs.Event.name e.Abonn_obs.Event.event = "bound_computed")
+      (events ())
+  in
+  Alcotest.(check int) "bound_computed events" 0 (List.length bound_computed)
+
 let test_instances_regions_clipped () =
   let t = Lazy.force small_trained in
   let instances = Instances.generate ~count:4 t in
@@ -206,6 +225,7 @@ let suite =
       [ Alcotest.test_case "generation invariants" `Quick test_instances_generation_invariants;
         Alcotest.test_case "unique ids" `Quick test_instances_unique_ids;
         Alcotest.test_case "certified radius" `Quick test_certified_radius_is_certified;
+        Alcotest.test_case "certified radius untraced" `Quick test_certified_radius_untraced;
         Alcotest.test_case "regions clipped" `Quick test_instances_regions_clipped
       ] )
   ]

@@ -174,8 +174,10 @@ let pinned_line id run problem =
       "digest="
       ^ Digest.to_hex (Digest.string (String.concat "\n" (List.map untimed events))) ]
 
-let read_fixture () =
-  let ic = open_in fixture in
+(* [(id, line)] for every line of a fixture file, the id being the
+   line's first word. *)
+let read_fixture path =
+  let ic = open_in path in
   let rec go acc =
     match input_line ic with
     | line ->
@@ -189,7 +191,7 @@ let read_fixture () =
   go []
 
 let test_streams_pinned () =
-  let expected = read_fixture () in
+  let expected = read_fixture fixture in
   let fresh =
     List.concat_map
       (fun (engine, run) ->

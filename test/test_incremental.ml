@@ -239,7 +239,7 @@ let test_engine_verdicts_cache_invariant () =
 
 (* --- fallback and escape hatch --- *)
 
-(* A state from another network (or another slope) must be rejected by
+(* A state from another network (or another verifier) must be rejected by
    classification and degrade to the from-scratch result bit-for-bit. *)
 let test_incompatible_state_falls_back () =
   let a = mlp_problem ~dims:[ 3; 4; 4; 2 ] 42 in
@@ -250,10 +250,10 @@ let test_incompatible_state_falls_back () =
    | Incremental.Incompatible -> ()
    | Incremental.Prefix _ | Incremental.Tighten ->
      Alcotest.fail "foreign problem must classify as Incompatible");
-  (match Incremental.classify sa ~appver:"deeppoly-zero" ~problem:a ~gamma:[] with
+  (match Incremental.classify sa ~appver:"lp" ~problem:a ~gamma:[] with
    | Incremental.Incompatible -> ()
    | Incremental.Prefix _ | Incremental.Tighten ->
-     Alcotest.fail "slope mismatch must classify as Incompatible");
+     Alcotest.fail "verifier mismatch must classify as Incompatible");
   let warm, _ = Deeppoly.run_warm ~state:sa b [] in
   let scratch = Deeppoly.run b [] in
   Alcotest.(check bool) "fallback phat bit-for-bit" true

@@ -212,34 +212,7 @@ let test_deeppoly_candidate_in_region () =
         (Region.contains problem.Problem.region x)
   done
 
-(* --- splits tighten and can be infeasible --- *)
-
-let test_split_never_loosens_phat_single_layer_zero_slope () =
-  (* With a single hidden layer and the fixed zero lower slope, tightening
-     a neuron's interval tightens its triangle relaxation pointwise, so
-     each child's certified bound dominates the parent's.  (This is *not*
-     a theorem for deeper nets or the adaptive slope, where the slope
-     choice can flip.) *)
-  for seed = 40 to 44 do
-    let problem = random_problem ~seed ~dims:[ 3; 8; 2 ] () in
-    let parent = Deeppoly.run ~slope:Deeppoly.Always_zero problem [] in
-    if Array.length parent.Outcome.pre_bounds > 0 then begin
-      match Bounds.unstable_indices parent.Outcome.pre_bounds.(0) with
-      | [] -> ()
-      | idx :: _ ->
-        let relu = Affine.relu_index problem.Problem.affine ~layer:0 ~idx in
-        List.iter
-          (fun phase ->
-            let child =
-              Deeppoly.run ~slope:Deeppoly.Always_zero problem (Split.extend [] ~relu ~phase)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "child phat >= parent (seed %d)" seed)
-              true
-              (child.Outcome.phat >= parent.Outcome.phat -. 1e-9))
-          [ Split.Active; Split.Inactive ]
-    end
-  done
+(* --- infeasible splits --- *)
 
 let test_infeasible_split_is_vacuous () =
   (* Force a stable-active neuron to Inactive: infeasible, vacuously
@@ -287,27 +260,9 @@ let test_interval_split_infeasible_too () =
     let child = Interval.run problem (Split.extend [] ~relu ~phase:Split.Inactive) in
     Alcotest.(check bool) "IBP detects infeasibility" true child.Outcome.infeasible
 
-(* --- slope policies --- *)
-
-let test_all_slope_policies_sound () =
-  (* The three lower-slope policies give different relaxations; slope
-     choice affects downstream bounds non-monotonically, so no dominance
-     holds between them in general — but every one of them must be
-     sound. *)
-  for seed = 60 to 62 do
-    let problem = random_problem ~seed () in
-    List.iter
-      (fun slope ->
-        Alcotest.(check bool)
-          (Printf.sprintf "slope policy sound (seed %d)" seed)
-          true
-          (phat_below_sampled_margins (fun p g -> Deeppoly.run ~slope p g) problem))
-      [ Deeppoly.Adaptive; Deeppoly.Always_zero; Deeppoly.Always_one ]
-  done
-
 let test_appver_registry () =
-  Alcotest.(check (list string)) "five verifiers"
-    [ "deeppoly"; "deeppoly-zero"; "deeppoly-one"; "zonotope"; "interval" ]
+  Alcotest.(check (list string)) "three verifiers"
+    [ "deeppoly"; "zonotope"; "interval" ]
     (List.map (fun v -> v.Appver.name) Appver.all);
   List.iter
     (fun v ->
@@ -380,12 +335,10 @@ let suite =
       [ Alcotest.test_case "deeppoly tighter than IBP" `Quick test_deeppoly_tighter_than_interval;
         Alcotest.test_case "proves easy property" `Quick test_deeppoly_proves_easy_property;
         Alcotest.test_case "exact on linear net" `Quick test_deeppoly_exact_on_linear_net;
-        Alcotest.test_case "candidate in region" `Quick test_deeppoly_candidate_in_region;
-        Alcotest.test_case "slope policies sound" `Quick test_all_slope_policies_sound
+        Alcotest.test_case "candidate in region" `Quick test_deeppoly_candidate_in_region
       ] );
     ( "prop.splits",
-      [ Alcotest.test_case "splits never loosen" `Quick test_split_never_loosens_phat_single_layer_zero_slope;
-        Alcotest.test_case "infeasible split vacuous" `Quick test_infeasible_split_is_vacuous;
+      [ Alcotest.test_case "infeasible split vacuous" `Quick test_infeasible_split_is_vacuous;
         Alcotest.test_case "interval infeasibility" `Quick test_interval_split_infeasible_too
       ] );
     ( "prop.appver", [ Alcotest.test_case "registry" `Quick test_appver_registry ] )
